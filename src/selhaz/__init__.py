@@ -58,6 +58,7 @@ from .risk import (
     mc_dominance,
     mc_risk,
     mc_risk_component,
+    mc_risks,
     sup_risk_scaleinv,
 )
 
@@ -96,6 +97,7 @@ __all__ = [
     "mc_dominance",
     "mc_risk",
     "mc_risk_component",
+    "mc_risks",
     "ml",
     "ml_improved",
     "n1",

@@ -44,6 +44,7 @@ from .risk import (
     h_of_q,
     mc_dominance,
     mc_risk,
+    mc_risks,
     sup_risk_scaleinv,
 )
 
@@ -112,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError("estimators: at least one estimator is required")
 
 
-def _parse_scales(text: str, key: str = "scales") -> tuple[tuple[float, ...], ...]:
+def _parse_scales(text: str) -> tuple[tuple[float, ...], ...]:
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -121,7 +122,7 @@ def _parse_scales(text: str, key: str = "scales") -> tuple[tuple[float, ...], ..
         try:
             rows.append(tuple(float(v) for v in chunk.split(",")))
         except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse scale vector {chunk!r}") from exc
+            raise ConfigError(f"scales: cannot parse scale vector {chunk!r}") from exc
     return tuple(rows)
 
 
@@ -166,12 +167,7 @@ def build_estimator(
                 h_count=int(h_text),
                 name=token,
             )
-            result = validate_improved(spec, n, k)
-            if not result.ok:
-                v = result.violations[0]
-                raise ConfigError(
-                    f"estimators: {token!r}: {v.condition} (limit {v.limit:g}, got {v.actual:g})"
-                )
+            validate_improved(spec, n, k).raise_if_invalid(token)
             return spec
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"estimators: bad token {token!r}: {exc}") from exc
@@ -230,20 +226,8 @@ def _merge(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
-    flag_map = {
-        "n": "n",
-        "k": "k",
-        "reps": "reps",
-        "seed": "seed",
-        "format": "format",
-        "workers": "workers",
-        "estimators": "estimators",
-        "scales": "scales",
-        "alpha": "alpha",
-        "h_count": "h_count",
-    }
-    for key, attr in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
@@ -260,16 +244,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     merged = _merge(args)
     n = _to_int(merged, "n")
     k = _to_int(merged, "k")
-    scales = merged["scales"]
-    if scales is None:
+    if merged["scales"] is None:
         grid = _default_grid(k)
-    elif isinstance(scales, str):
-        grid = _parse_scales(scales)
     else:
-        grid = tuple(tuple(float(v) for v in row) for row in scales)
-    estimators = merged["estimators"]
-    if isinstance(estimators, str):
-        estimators = tuple(t.strip() for t in estimators.split(",") if t.strip())
+        grid = _parse_scales(merged["scales"])
+    estimators = tuple(t.strip() for t in merged["estimators"].split(",") if t.strip())
     alpha = merged["alpha"]
     h_count = merged["h_count"]
     try:
@@ -277,7 +256,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             n=n,
             k=k,
             scales_grid=grid,
-            estimators=tuple(estimators),
+            estimators=estimators,
             replications=_to_int(merged, "reps"),
             seed=_to_int(merged, "seed"),
             output_format=str(merged["format"]),
@@ -288,9 +267,19 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     # Resolve every estimator token now so bad names fail before any work.
-    for token in cfg.estimators:
-        build_estimator(token, cfg.n, cfg.k, cfg.alpha, cfg.h_count)
+    _specs(cfg, cfg.estimators)
     return cfg
+
+
+def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
+    return [build_estimator(tok, cfg.n, cfg.k, cfg.alpha, cfg.h_count) for tok in tokens]
+
+
+def _grid(cfg: ExperimentConfig):
+    """Yield (scales, populations, stream) per grid row; row i draws from stream i."""
+    for row_index, scales in enumerate(cfg.scales_grid):
+        pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
+        yield scales, pop, RngSpec(seed=cfg.seed, stream_id=row_index)
 
 
 def _meta(cfg: ExperimentConfig, command: str) -> dict:
@@ -341,20 +330,14 @@ def _render(cfg_format: str, header: list[str], rows: list[list[str]], meta: dic
 
 def cmd_risk_table(cfg: ExperimentConfig) -> str:
     """One row per scale vector; R and SE columns per estimator."""
-    specs = [
-        build_estimator(tok, cfg.n, cfg.k, cfg.alpha, cfg.h_count)
-        for tok in cfg.estimators
-    ]
+    specs = _specs(cfg, cfg.estimators)
     header = [f"scale_{i + 1}" for i in range(cfg.k)]
     for spec in specs:
         header += [f"R_{spec.label()}", f"SE_{spec.label()}"]
     rows = []
-    for row_index, scales in enumerate(cfg.scales_grid):
-        pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
-        rng = RngSpec(seed=cfg.seed, stream_id=row_index)
+    for scales, pop, rng in _grid(cfg):
         cells = [f"{s:g}" for s in scales]
-        for spec in specs:
-            est = mc_risk(spec, pop, cfg.replications, rng, workers=cfg.workers)
+        for est in mc_risks(specs, pop, cfg.replications, rng, workers=cfg.workers):
             cells += [f"{est.mean:.6f}", f"{est.std_error:.6f}"]
         rows.append(cells)
     return _render(cfg.output_format, header, rows, _meta(cfg, "risk-table"))
@@ -362,34 +345,27 @@ def cmd_risk_table(cfg: ExperimentConfig) -> str:
 
 def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
     """Paired comparison A - B per grid point plus a 3-sigma verdict."""
-    spec_a = build_estimator(name_a, cfg.n, cfg.k, cfg.alpha, cfg.h_count)
-    spec_b = build_estimator(name_b, cfg.n, cfg.k, cfg.alpha, cfg.h_count)
+    spec_a, spec_b = _specs(cfg, (name_a, name_b))
     header = [f"scale_{i + 1}" for i in range(cfg.k)]
     header += ["mean_diff", "std_error_diff", "replications"]
     rows = []
-    sig_pos = sig_neg = False
+    # Since se >= 0, a difference beyond 3 se is also beyond 0.
     neg_beyond = pos_beyond = False
-    for row_index, scales in enumerate(cfg.scales_grid):
-        pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
-        rng = RngSpec(seed=cfg.seed, stream_id=row_index)
+    for scales, pop, rng in _grid(cfg):
         cmp = mc_dominance(spec_a, spec_b, pop, cfg.replications, rng, workers=cfg.workers)
         rows.append(
             [f"{s:g}" for s in scales]
             + [f"{cmp.mean_diff:.6f}", f"{cmp.std_error_diff:.6f}", str(cmp.replications)]
         )
         three_se = 3.0 * cmp.std_error_diff
-        if cmp.mean_diff > three_se and cmp.mean_diff > 0:
-            sig_pos = True
-        if cmp.mean_diff < -three_se and cmp.mean_diff < 0:
-            sig_neg = True
         if cmp.mean_diff < -three_se:
             neg_beyond = True
         if cmp.mean_diff > three_se:
             pos_beyond = True
     label_a, label_b = spec_a.label(), spec_b.label()
-    if sig_pos and not neg_beyond:
+    if pos_beyond and not neg_beyond:
         verdict = f"{label_b} dominates {label_a} at 3 std errors"
-    elif sig_neg and not pos_beyond:
+    elif neg_beyond and not pos_beyond:
         verdict = f"{label_a} dominates {label_b} at 3 std errors"
     else:
         verdict = "inconclusive at 3 std errors"
@@ -404,17 +380,12 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
         raise ConfigError("plot-data: ratio plots need exactly k=2 populations")
     if cfg.output_format != "csv":
         raise ConfigError("plot-data: emits CSV only, drop the format override")
-    specs = [
-        build_estimator(tok, cfg.n, cfg.k, cfg.alpha, cfg.h_count)
-        for tok in cfg.estimators
-    ]
+    specs = _specs(cfg, cfg.estimators)
     records = []
-    for row_index, scales in enumerate(cfg.scales_grid):
-        pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
-        rng = RngSpec(seed=cfg.seed, stream_id=row_index)
+    for scales, pop, rng in _grid(cfg):
         ratio = scales[0] / scales[1]
-        for spec in specs:
-            est = mc_risk(spec, pop, cfg.replications, rng, workers=cfg.workers)
+        estimates = mc_risks(specs, pop, cfg.replications, rng, workers=cfg.workers)
+        for spec, est in zip(specs, estimates):
             records.append((spec.label(), ratio, est.mean, est.std_error))
     records.sort(key=lambda rec: (rec[0], rec[1]))
     rows = [
@@ -599,14 +570,9 @@ def main(argv=None) -> int:
             )
         elif args.command == "exact":
             merged = _merge(args)
-            scales_text = merged["scales"]
-            if scales_text is None:
+            if merged["scales"] is None:
                 raise ConfigError("scales: the exact command needs --scales s1,s2")
-            grid = (
-                _parse_scales(scales_text)
-                if isinstance(scales_text, str)
-                else tuple(tuple(float(v) for v in row) for row in scales_text)
-            )
+            grid = _parse_scales(merged["scales"])
             if len(grid) != 1:
                 raise ConfigError("scales: the exact command takes a single scale pair")
             text = cmd_exact(

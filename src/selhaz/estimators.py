@@ -112,6 +112,12 @@ class ImprovedValidation:
     ok: bool
     violations: tuple[Violation, ...]
 
+    def raise_if_invalid(self, context: str) -> None:
+        """Raise DomainError naming the first violation, prefixed by context."""
+        if not self.ok:
+            v = self.violations[0]
+            raise DomainError(f"{context}: {v.condition} (limit {v.limit:g}, got {v.actual:g})")
+
 
 def ml(n: int) -> EstimatorSpec:
     """Maximum-likelihood member: n/Y_J."""
@@ -156,12 +162,7 @@ def _improved(
     h = int(h_count) if h_count is not None else int(k)
     a = float(alpha) if alpha is not None else alpha_upper_bound(n, h, c)
     spec = EstimatorSpec(EstimatorKind.IMPROVED, c, alpha=a, h_count=h, name=name)
-    result = validate_improved(spec, n, k)
-    if not result.ok:
-        first = result.violations[0]
-        raise DomainError(
-            f"{name}: {first.condition} (limit {first.limit:g}, got {first.actual:g})"
-        )
+    validate_improved(spec, n, k).raise_if_invalid(name)
     return spec
 
 
@@ -174,13 +175,9 @@ def evaluate(spec: EstimatorSpec, outcome: SelectionOutcome, pop: PopulationSet)
     """Estimate sigma_J for one selection outcome. Always positive."""
     if spec.kind is EstimatorKind.SCALE_INVERSE:
         return spec.c / outcome.y_selected
-    result = validate_improved(spec, pop.n, pop.k)
-    if not result.ok:
-        first = result.violations[0]
-        raise DomainError(
-            f"improved spec invalid for n={pop.n}, k={pop.k}: {first.condition} "
-            f"(limit {first.limit:g}, got {first.actual:g})"
-        )
+    validate_improved(spec, pop.n, pop.k).raise_if_invalid(
+        f"improved spec invalid for n={pop.n}, k={pop.k}"
+    )
     x = geometric_mean_stat(outcome.sums, spec.h_count)
     h = spec.h_count
     return spec.c / outcome.y_selected + spec.alpha * (pop.n * h - 1.0) / (h * x)
@@ -251,5 +248,5 @@ def validate_improved(spec: EstimatorSpec, n: int, k: int) -> ImprovedValidation
     if not violations:
         bound = alpha_upper_bound(n, spec.h_count, spec.c)
         if spec.alpha > bound:
-            violations.append(Violation("alpha above the dominance bound", bound, spec.alpha))
+            violations.append(Violation("alpha above its upper bound", bound, spec.alpha))
     return ImprovedValidation(ok=not violations, violations=tuple(violations))

@@ -111,17 +111,20 @@ def _sum_blocks(
     """Sums Y_i for replications [rep_start, rep_start + count), shape (count, k).
 
     Counter layout: (replication * k + population) * n + observation.
-    Frozen; see the module docstring.
+    Frozen; see the module docstring. In row-major (count, k, n) order the
+    counters run consecutively from rep_start * k * n. A range whose last
+    counter would not fit in 64 bits is rejected: wrapping would silently
+    repeat another replication's draws.
     """
     k = len(rates)
+    if (rep_start + count) * k * n > 2**64:
+        raise DomainError(
+            f"replications [{rep_start}, {rep_start + count}) overflow the 64-bit "
+            f"draw counter at k={k}, n={n}"
+        )
     key = _stream_key(rng.seed, rng.stream_id)
-    reps = np.arange(rep_start, rep_start + count, dtype=_U64)
-    pops = np.arange(k, dtype=_U64)
-    obs = np.arange(n, dtype=_U64)
-    counters = (reps[:, None, None] * _U64(k) + pops[None, :, None]) * _U64(n) + obs[
-        None, None, :
-    ]
-    u = _uniforms(key, counters)
+    counters = np.arange(count * k * n, dtype=_U64) + _U64(rep_start * k * n)
+    u = _uniforms(key, counters.reshape(count, k, n))
     # Exponential draws summed over the sample: the exact gamma(n, rate)
     # construction for integer n, no rejection step.
     draws = -np.log(u) / rates[None, :, None]

@@ -125,14 +125,18 @@ def _blocks(replications: int) -> list[tuple[int, int]]:
 
 
 def _assemble(worker_fn, replications: int, workers: int) -> np.ndarray:
-    """Run worker_fn over fixed blocks and concatenate in block order."""
+    """Run worker_fn over fixed blocks and concatenate in block order.
+
+    Blocks join along the last axis, so a worker that returns one row per
+    estimator yields one C-contiguous row of losses per estimator.
+    """
     blocks = _blocks(replications)
     if workers == 1 or len(blocks) == 1:
         parts = [worker_fn(s, c) for s, c in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda b: worker_fn(*b), blocks))
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def _check_mc_args(replications: int, workers: int) -> None:
@@ -144,13 +148,46 @@ def _check_mc_args(replications: int, workers: int) -> None:
 
 def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
     if spec.kind is EstimatorKind.IMPROVED:
-        result = validate_improved(spec, pop.n, pop.k)
-        if not result.ok:
-            first = result.violations[0]
-            raise DomainError(
-                f"estimator invalid for n={pop.n}, k={pop.k}: {first.condition} "
-                f"(limit {first.limit:g}, got {first.actual:g})"
-            )
+        validate_improved(spec, pop.n, pop.k).raise_if_invalid(
+            f"estimator invalid for n={pop.n}, k={pop.k}"
+        )
+
+
+def _block_loop(specs, pop, replications, rng, workers, score) -> np.ndarray:
+    """Check the arguments and specs once, draw each block's sums once,
+    and assemble score(sums) over the blocks in block order."""
+    _check_mc_args(replications, workers)
+    for spec in specs:
+        _validate_for(spec, pop)
+    rates = np.asarray(pop.rates)
+
+    def block(rep_start: int, count: int) -> np.ndarray:
+        return score(_sum_blocks(pop.n, rates, rng, rep_start, count))
+
+    return _assemble(block, int(replications), int(workers))
+
+
+def mc_risks(
+    specs,
+    pop: PopulationSet,
+    replications: int,
+    rng: RngSpec,
+    workers: int = 1,
+) -> tuple[RiskEstimate, ...]:
+    """Monte Carlo risks of several estimators on the same draws.
+
+    Each block's sums are drawn once and every spec is scored on them, so
+    entry i equals mc_risk(specs[i], ...) to the last bit.
+    """
+    specs = tuple(specs)
+    if not specs:
+        raise DomainError("mc_risks needs at least one estimator spec")
+
+    def score(sums: np.ndarray) -> np.ndarray:
+        return np.stack([_losses_for_sums(s, pop, sums) for s in specs])
+
+    losses = _block_loop(specs, pop, replications, rng, workers, score)
+    return tuple(_estimate_from_losses(row, rng.seed) for row in losses)
 
 
 def mc_risk(
@@ -165,16 +202,7 @@ def mc_risk(
     Deterministic in (rng, replications): the same labels give the same
     estimate to the last bit on any worker count.
     """
-    _check_mc_args(replications, workers)
-    _validate_for(spec, pop)
-    rates = np.asarray(pop.rates)
-
-    def block_losses(rep_start: int, count: int) -> np.ndarray:
-        sums = _sum_blocks(pop.n, rates, rng, rep_start, count)
-        return _losses_for_sums(spec, pop, sums)
-
-    losses = _assemble(block_losses, int(replications), int(workers))
-    return _estimate_from_losses(losses, rng.seed)
+    return mc_risks((spec,), pop, replications, rng, workers)[0]
 
 
 def mc_dominance(
@@ -191,16 +219,12 @@ def mc_dominance(
     difference's standard error excludes the shared sampling noise.
     Identical specs give a difference of exactly zero.
     """
-    _check_mc_args(replications, workers)
-    _validate_for(spec_a, pop)
-    _validate_for(spec_b, pop)
-    rates = np.asarray(pop.rates)
-
-    def block_diffs(rep_start: int, count: int) -> np.ndarray:
-        sums = _sum_blocks(pop.n, rates, rng, rep_start, count)
+    # Each block reduces to loss_a - loss_b at once; a (2, reps) loss
+    # matrix would raise peak memory on long runs.
+    def score(sums: np.ndarray) -> np.ndarray:
         return _losses_for_sums(spec_a, pop, sums) - _losses_for_sums(spec_b, pop, sums)
 
-    diffs = _assemble(block_diffs, int(replications), int(workers))
+    diffs = _block_loop((spec_a, spec_b), pop, replications, rng, workers, score)
     n_reps = int(replications)
     se = float(diffs.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
     return PairedComparison(

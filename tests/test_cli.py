@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -329,3 +330,38 @@ class TestBuildEstimator:
     def test_garbage_token(self):
         with pytest.raises(ConfigError, match="unknown estimator"):
             build_estimator("zzz", 5, 2, None, None)
+
+
+class TestGoldenBytes:
+    """Output bytes pinned to sha256 digests; any change to the sampler,
+    the loss kernel, block assembly or rendering shows up here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("risk-table",),
+                "b984e7af9310cac05657541444da087e318c3d6a090cb707b2e2e7f5b8b8ed21",
+            ),
+            (
+                (
+                    "plot-data", "--scales", "0.9,0.3;0.2,0.4;1,1", "--reps", "300",
+                    "--seed", "11", "--estimators", "N2,c4.5,i4:0.1:2",
+                ),
+                "6de8fdd1eca0773e39fee2092f0e431f95b504946d41ebc26df556b678710fa8",
+            ),
+            (
+                (
+                    "dominance", "N2I", "N2", "--n", "3", "--k", "5", "--h-count", "3",
+                    "--workers", "2", "--reps", "9000",
+                    "--scales", "1,0.5,0.8,0.3,0.6;1,1,1,1,1", "--seed", "3",
+                ),
+                "15d08eec77396c0ac162d3bded44fdfc4d945825eab3c49b0678e84d54a8fb34",
+            ),
+        ],
+        ids=["risk-table-default", "plot-data", "dominance-k5"],
+    )
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

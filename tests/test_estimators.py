@@ -268,3 +268,13 @@ class TestValidateImproved:
     def test_requires_improved_kind(self):
         with pytest.raises(DomainError):
             validate_improved(n2(5), 5, 2)
+
+    def test_raise_if_invalid_names_first_violation(self):
+        bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.3, h_count=2)
+        with pytest.raises(
+            DomainError,
+            match=r"^N2I: alpha above its upper bound \(limit 0\.272727, got 0\.3\)$",
+        ):
+            validate_improved(bad, 5, 2).raise_if_invalid("N2I")
+        good = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=2)
+        assert validate_improved(good, 5, 2).raise_if_invalid("N2I") is None

@@ -224,3 +224,26 @@ class TestSelectionOutcomeShape:
             sums=(1.0, 3.0), selected_index=1, y_selected=3.0, sigma_selected=0.5
         )
         assert out.sums[out.selected_index] == out.y_selected
+
+
+class TestCounterRange:
+    """Draw counters are uint64; a range that would wrap must fail loudly."""
+
+    POP4 = PopulationSet(n=4, rates=(1.0, 2.0))
+
+    def test_last_representable_replication_draws(self):
+        # (2**61 - 1 + 1) * k * n = 2**64: the last counter is 2**64 - 1.
+        sums = draw_sums(self.POP4, RNG, 2**61 - 1)
+        assert len(sums) == 2 and all(s > 0 for s in sums)
+
+    @pytest.mark.parametrize("replication", [2**61, 3 + 2**61, 2**64 + 3])
+    def test_wrapping_replication_rejected(self, replication):
+        # 3 + 2**61 wrapped onto replication 3's counters; 2**64 + 3 did not
+        # fit in uint64 at all and surfaced as a raw OverflowError.
+        with pytest.raises(DomainError, match="64-bit"):
+            draw_sums(self.POP4, RNG, replication)
+
+    def test_block_reaching_past_the_counter_rejected(self):
+        rates = np.asarray(self.POP4.rates)
+        with pytest.raises(DomainError, match="64-bit"):
+            _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)

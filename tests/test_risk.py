@@ -40,6 +40,7 @@ from selhaz.risk import (
     mc_dominance,
     mc_risk,
     mc_risk_component,
+    mc_risks,
     sup_risk_scaleinv,
 )
 from conftest import digamma_int_oracle, euler_gamma_oracle
@@ -351,3 +352,35 @@ class TestResultTypes:
             BayesPrior(shape=0.0, rate=1.0)
         with pytest.raises(DomainError):
             BayesPrior(shape=1.0, rate=0.0)
+
+
+class TestMcRisks:
+    """Scoring several estimators on shared draws changes no bit of any one."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "pop, specs",
+        [
+            (POP, (n1(5), n2(5), n2_improved(5, 2), ml(5), ml_improved(5, 2))),
+            (
+                PopulationSet(n=3, rates=(1.0, 2.0, 1.25, 3.0, 0.5)),
+                (n2_improved(3, 5, h_count=3), n2(3)),
+            ),
+        ],
+        ids=["k2-named", "k5-N2I-h3"],
+    )
+    def test_rows_equal_single_calls(self, pop, specs, workers):
+        reps = 2 * 4096 + 11
+        joint = mc_risks(specs, pop, reps, RNG, workers=workers)
+        assert len(joint) == len(specs)
+        for spec, est in zip(specs, joint):
+            alone = mc_risk(spec, pop, reps, RNG, workers=workers)
+            assert est.mean == alone.mean
+            assert est.std_error == alone.std_error
+            assert est.replications == reps and est.seed == RNG.seed
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            mc_risks((), POP, 100, RNG)
+        with pytest.raises(DomainError):
+            mc_risks((n2(5),), POP, 0, RNG)
