@@ -9,10 +9,11 @@ plot-data    Long-format (ratio, estimator, risk) series for external plotting.
 exact        Quadrature risk for k = 2 against its Monte Carlo cross-check.
 
 Populations are entered as scales (1/sigma_i), matching the table headers
-users see; rates are derived internally. A flat key=value config file can
-hold any of the options; explicit flags win over the file. Every run is a
-pure function of (config, seed), so reruns and worker counts never change
-the output bytes.
+users see; rates are derived internally. Each command takes only the flags
+it reads. A flat key=value config file can hold any of the options; explicit
+flags win over the file, and every command validates the merged config as a
+whole. Every run is a pure function of (config, seed), so reruns and worker
+counts never change the output bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -77,11 +79,15 @@ _FORMATS = ("csv", "json", "markdown")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a grid run needs; immutable once validated."""
+    """Everything a run needs; immutable once validated.
+
+    scales_grid is None when no scales were given; a grid command then runs
+    the default grid, which exists for k = 2 only.
+    """
 
     n: int
     k: int
-    scales_grid: tuple[tuple[float, ...], ...]
+    scales_grid: tuple[tuple[float, ...], ...] | None
     estimators: tuple[str, ...]
     replications: int
     seed: int
@@ -91,24 +97,38 @@ class ExperimentConfig:
     h_count: int | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ConfigError(f"n: need n >= 2, got {self.n}")
+        if self.k < 2:
+            raise ConfigError(f"k: need k >= 2, got {self.k}")
         if self.replications < 1:
             raise ConfigError(f"reps: must be >= 1, got {self.replications}")
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError(f"seed: must fit in 64 unsigned bits, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         if self.output_format not in _FORMATS:
             raise ConfigError(
                 f"format: must be one of {', '.join(_FORMATS)}, got {self.output_format!r}"
             )
-        if not self.scales_grid:
+        if self.alpha is not None and not (0 < self.alpha < math.inf):
+            raise ConfigError(f"alpha: must be positive and finite, got {self.alpha}")
+        if self.h_count is not None and not (2 <= self.h_count <= self.k):
+            raise ConfigError(f"h_count: must lie in [2, k={self.k}], got {self.h_count}")
+        if self.scales_grid is not None and not self.scales_grid:
             raise ConfigError("scales: at least one scale vector is required")
-        for row in self.scales_grid:
+        for row in self.scales_grid or ():
             if len(row) != self.k:
                 raise ConfigError(
                     f"scales: vector {row} has {len(row)} entries, expected k={self.k}"
                 )
             for s in row:
-                if not (s > 0):
-                    raise ConfigError(f"scales: every scale must be positive, got {s}")
+                # A tiny scale is finite, but its rate 1/s overflows.
+                if not (0 < s < math.inf and 1.0 / s < math.inf):
+                    raise ConfigError(
+                        "scales: every scale and its rate 1/s must be positive and "
+                        f"finite, got {s}"
+                    )
         if not self.estimators:
             raise ConfigError("estimators: at least one estimator is required")
 
@@ -212,8 +232,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"format = {cfg.output_format}",
         f"workers = {cfg.workers}",
         f"estimators = {','.join(cfg.estimators)}",
-        "scales = " + ";".join(",".join(f"{s:g}" for s in row) for row in cfg.scales_grid),
     ]
+    if cfg.scales_grid is not None:
+        lines.append(
+            "scales = " + ";".join(",".join(f"{s:g}" for s in row) for row in cfg.scales_grid)
+        )
     if cfg.alpha is not None:
         lines.append(f"alpha = {cfg.alpha:g}")
     if cfg.h_count is not None:
@@ -233,42 +256,34 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _to_int(merged: dict, key: str) -> int:
+def _number(merged: dict, key: str, kind=int):
+    """merged[key] as an int or float, or None if unset; ConfigError names the key."""
+    value = merged[key]
+    if value is None:
+        return None
     try:
-        return int(str(merged[key]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected an integer, got {merged[key]!r}") from exc
+        return kind(value)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {noun}, got {value!r}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The one validated config every command runs from."""
     merged = _merge(args)
-    n = _to_int(merged, "n")
-    k = _to_int(merged, "k")
-    if merged["scales"] is None:
-        grid = _default_grid(k)
-    else:
-        grid = _parse_scales(merged["scales"])
-    estimators = tuple(t.strip() for t in merged["estimators"].split(",") if t.strip())
-    alpha = merged["alpha"]
-    h_count = merged["h_count"]
-    try:
-        cfg = ExperimentConfig(
-            n=n,
-            k=k,
-            scales_grid=grid,
-            estimators=estimators,
-            replications=_to_int(merged, "reps"),
-            seed=_to_int(merged, "seed"),
-            output_format=str(merged["format"]),
-            workers=_to_int(merged, "workers"),
-            alpha=float(alpha) if alpha is not None else None,
-            h_count=int(str(h_count)) if h_count is not None else None,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    # Resolve every estimator token now so bad names fail before any work.
-    _specs(cfg, cfg.estimators)
-    return cfg
+    scales = merged["scales"]
+    return ExperimentConfig(
+        n=_number(merged, "n"),
+        k=_number(merged, "k"),
+        scales_grid=None if scales is None else _parse_scales(scales),
+        estimators=tuple(t.strip() for t in merged["estimators"].split(",") if t.strip()),
+        replications=_number(merged, "reps"),
+        seed=_number(merged, "seed"),
+        output_format=str(merged["format"]),
+        workers=_number(merged, "workers"),
+        alpha=_number(merged, "alpha", float),
+        h_count=_number(merged, "h_count"),
+    )
 
 
 def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
@@ -277,7 +292,8 @@ def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
 
 def _grid(cfg: ExperimentConfig):
     """Yield (scales, populations, stream) per grid row; row i draws from stream i."""
-    for row_index, scales in enumerate(cfg.scales_grid):
+    grid = _default_grid(cfg.k) if cfg.scales_grid is None else cfg.scales_grid
+    for row_index, scales in enumerate(grid):
         pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
         yield scales, pop, RngSpec(seed=cfg.seed, stream_id=row_index)
 
@@ -395,12 +411,9 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
     return _csv_table(["ratio", "estimator", "risk", "std_error"], rows)
 
 
-def cmd_bounds(n: int, k: int, output_format: str) -> str:
+def cmd_bounds(cfg: ExperimentConfig) -> str:
     """Admissibility interval, minimax value, sup-risk and alpha bounds."""
-    if n < 2:
-        raise ConfigError(f"n: need n >= 2, got {n}")
-    if k < 2:
-        raise ConfigError(f"k: need k >= 2, got {k}")
+    n, k = cfg.n, cfg.k
     rng = admissible_range(n)
     minimax = gb_component_risk(n)
     sup_rows = []
@@ -412,7 +425,7 @@ def cmd_bounds(n: int, k: int, output_format: str) -> str:
         ("n-1", float(n - 1), alpha_upper_bound(n, k, float(n - 1))),
         ("n", float(n), alpha_upper_bound(n, k, float(n))),
     ]
-    if output_format == "json":
+    if cfg.output_format == "json":
         payload = {
             "meta": {"command": "bounds", "version": __version__, "n": n, "k": k},
             "c_lower": rng.c_lower,
@@ -440,26 +453,18 @@ def cmd_bounds(n: int, k: int, output_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_exact(
-    n: int, c: float, scales: tuple[float, float], replications: int, seed: int,
-    output_format: str,
-) -> str:
+def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     """Quadrature risk for k = 2 next to its Monte Carlo cross-check."""
-    if len(scales) != 2:
-        raise ConfigError(f"scales: exactly two scales required, got {len(scales)}")
-    for s in scales:
-        if not (s > 0):
-            raise ConfigError(f"scales: every scale must be positive, got {s}")
-    if not (c > 0):
-        raise ConfigError(f"c: must be positive, got {c}")
-    rates = tuple(1.0 / s for s in scales)
-    q = max(rates) / min(rates)
+    if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
+        raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
+    spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
+    scales, pop, rng = next(_grid(cfg))
+    n, replications = cfg.n, cfg.replications
+    q = max(pop.rates) / min(pop.rates)
     h_val = h_of_q(q, n)
-    exact = exact_risk_scaleinv_k2(c, rates, n)
-    spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=float(c), name=f"c{c:g}")
-    pop = PopulationSet(n=n, rates=rates)
-    est = mc_risk(spec, pop, replications, RngSpec(seed=seed, stream_id=0))
-    if output_format == "json":
+    exact = exact_risk_scaleinv_k2(c, pop.rates, n)
+    est = mc_risk(spec, pop, replications, rng, workers=cfg.workers)
+    if cfg.output_format == "json":
         payload = {
             "meta": {
                 "command": "exact",
@@ -468,7 +473,7 @@ def cmd_exact(
                 "c": c,
                 "scales": list(scales),
                 "replications": replications,
-                "seed": seed,
+                "seed": cfg.seed,
             },
             "q": q,
             "h_of_q": h_val,
@@ -486,34 +491,31 @@ def cmd_exact(
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="sample size per population")
-    parser.add_argument("--k", type=int, default=None, help="number of populations")
-    parser.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
-    parser.add_argument("--seed", type=int, default=None, help="base seed")
-    parser.add_argument(
-        "--format", choices=_FORMATS, default=None, help="output format (default csv)"
-    )
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--workers", type=int, default=None, help="parallel workers")
-    parser.add_argument(
-        "--scales",
-        default=None,
-        help="scale grid: vectors split by ';', entries by ',' (e.g. '0.3,0.2;0.5,0.6')",
-    )
-    parser.add_argument(
-        "--estimators",
-        default=None,
-        help="comma list: ML,N1,N2,N2I,MLI, c<value>, or i<c>:<alpha>:<h>",
-    )
-    parser.add_argument(
-        "--alpha", type=float, default=None, help="override alpha for N2I/MLI"
-    )
-    parser.add_argument(
-        "--h-count", dest="h_count", type=int, default=None,
-        help="override the geometric-mean order count for N2I/MLI",
-    )
+# Option flags by name; each subcommand registers only the ones it reads.
+_FLAGS = {
+    "n": dict(type=int, help="sample size per population"),
+    "k": dict(type=int, help="number of populations"),
+    "reps": dict(type=int, help="Monte Carlo replications"),
+    "seed": dict(type=int, help="base seed"),
+    "format": dict(choices=_FORMATS, help="output format (default csv)"),
+    "config": dict(help="key=value config file"),
+    "out": dict(help="write the report to this path"),
+    "workers": dict(type=int, help="parallel workers"),
+    "scales": dict(
+        help="scale grid: vectors split by ';', entries by ',' (e.g. '0.3,0.2;0.5,0.6')"
+    ),
+    "estimators": dict(help="comma list: ML,N1,N2,N2I,MLI, c<value>, or i<c>:<alpha>:<h>"),
+    "alpha": dict(type=float, help="override alpha for N2I/MLI"),
+    "h-count": dict(
+        dest="h_count", type=int, help="override the geometric-mean order count for N2I/MLI"
+    ),
+}
+_GRID_FLAGS = tuple(_FLAGS)
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", default=None, **_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,22 +527,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("risk-table", help="Monte Carlo risk table on a scale grid")
-    _add_common(p_table)
+    _add_flags(p_table, _GRID_FLAGS)
 
     p_bounds = sub.add_parser("bounds", help="admissibility and minimax constants")
-    _add_common(p_bounds)
+    _add_flags(p_bounds, ("n", "k", "format", "config", "out"))
 
     p_dom = sub.add_parser("dominance", help="paired comparison of two estimators")
     p_dom.add_argument("estimator_a", help="first estimator token")
     p_dom.add_argument("estimator_b", help="second estimator token")
-    _add_common(p_dom)
+    _add_flags(p_dom, [f for f in _GRID_FLAGS if f != "estimators"])
 
     p_plot = sub.add_parser("plot-data", help="risk series keyed by scale ratio")
-    _add_common(p_plot)
+    _add_flags(p_plot, _GRID_FLAGS)
 
     p_exact = sub.add_parser("exact", help="quadrature risk for k = 2 plus MC check")
     p_exact.add_argument("--c", type=float, required=True, help="estimator constant")
-    _add_common(p_exact)
+    _add_flags(
+        p_exact, ("n", "reps", "seed", "format", "config", "out", "workers", "scales")
+    )
 
     return parser
 
@@ -557,34 +561,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = config_from_args(args)
         if args.command == "risk-table":
-            text = cmd_risk_table(config_from_args(args))
+            text = cmd_risk_table(cfg)
         elif args.command == "dominance":
-            text = cmd_dominance(config_from_args(args), args.estimator_a, args.estimator_b)
+            text = cmd_dominance(cfg, args.estimator_a, args.estimator_b)
         elif args.command == "plot-data":
-            text = cmd_plot_data(config_from_args(args))
+            text = cmd_plot_data(cfg)
         elif args.command == "bounds":
-            merged = _merge(args)
-            text = cmd_bounds(
-                _to_int(merged, "n"), _to_int(merged, "k"), str(merged["format"])
-            )
-        elif args.command == "exact":
-            merged = _merge(args)
-            if merged["scales"] is None:
-                raise ConfigError("scales: the exact command needs --scales s1,s2")
-            grid = _parse_scales(merged["scales"])
-            if len(grid) != 1:
-                raise ConfigError("scales: the exact command takes a single scale pair")
-            text = cmd_exact(
-                _to_int(merged, "n"),
-                float(args.c),
-                tuple(grid[0]),
-                _to_int(merged, "reps"),
-                _to_int(merged, "seed"),
-                str(merged["format"]),
-            )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+            text = cmd_bounds(cfg)
+        else:
+            text = cmd_exact(cfg, args.c)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ value psi(n) - ln(n-1). This form does not improve on c/Y_J uniformly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .model import PopulationSet, SelectionOutcome, geometric_mean_stat
@@ -57,13 +58,13 @@ class EstimatorSpec:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.c > 0):
-            raise DomainError(f"estimator constant c must be positive, got {self.c}")
+        if not (0 < self.c < math.inf):
+            raise DomainError(f"estimator constant c must be positive and finite, got {self.c}")
         if self.kind is EstimatorKind.IMPROVED:
             if self.alpha is None or self.h_count is None:
                 raise DomainError("improved estimator needs alpha and h_count")
-            if not (self.alpha > 0):
-                raise DomainError(f"alpha must be positive, got {self.alpha}")
+            if not (0 < self.alpha < math.inf):
+                raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
             if not float(self.h_count).is_integer() or self.h_count < 2:
                 raise DomainError(f"h_count must be an integer >= 2, got {self.h_count}")
         else:

@@ -153,16 +153,14 @@ def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
         )
 
 
-def _block_loop(specs, pop, replications, rng, workers, score) -> np.ndarray:
-    """Check the arguments and specs once, draw each block's sums once,
-    and assemble score(sums) over the blocks in block order."""
+def _block_loop(n, rates, replications, rng, workers, score) -> np.ndarray:
+    """Check the arguments once, draw each block's sums once, and
+    assemble score(sums) over the blocks in block order."""
     _check_mc_args(replications, workers)
-    for spec in specs:
-        _validate_for(spec, pop)
-    rates = np.asarray(pop.rates)
+    rates = np.asarray(rates, dtype=np.float64)
 
     def block(rep_start: int, count: int) -> np.ndarray:
-        return score(_sum_blocks(pop.n, rates, rng, rep_start, count))
+        return score(_sum_blocks(n, rates, rng, rep_start, count))
 
     return _assemble(block, int(replications), int(workers))
 
@@ -186,7 +184,9 @@ def mc_risks(
     def score(sums: np.ndarray) -> np.ndarray:
         return np.stack([_losses_for_sums(s, pop, sums) for s in specs])
 
-    losses = _block_loop(specs, pop, replications, rng, workers, score)
+    for spec in specs:
+        _validate_for(spec, pop)
+    losses = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
     return tuple(_estimate_from_losses(row, rng.seed) for row in losses)
 
 
@@ -224,7 +224,9 @@ def mc_dominance(
     def score(sums: np.ndarray) -> np.ndarray:
         return _losses_for_sums(spec_a, pop, sums) - _losses_for_sums(spec_b, pop, sums)
 
-    diffs = _block_loop((spec_a, spec_b), pop, replications, rng, workers, score)
+    _validate_for(spec_a, pop)
+    _validate_for(spec_b, pop)
+    diffs = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
     n_reps = int(replications)
     se = float(diffs.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
     return PairedComparison(
@@ -243,19 +245,16 @@ def mc_risk_component(
     """
     if not float(n).is_integer() or n < 2:
         raise DomainError(f"sample size n must be an integer >= 2, got {n}")
-    if not (rate > 0):
-        raise DomainError(f"rate must be positive, got {rate}")
-    if not (c > 0):
-        raise DomainError(f"estimator constant c must be positive, got {c}")
-    _check_mc_args(replications, workers)
-    rates = np.asarray([float(rate)])
+    if not (0 < rate < math.inf):
+        raise DomainError(f"rate must be positive and finite, got {rate}")
+    if not (0 < c < math.inf):
+        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
 
-    def block_losses(rep_start: int, count: int) -> np.ndarray:
-        sums = _sum_blocks(int(n), rates, rng, rep_start, count)
+    def score(sums: np.ndarray) -> np.ndarray:
         ratio = (c / sums[:, 0]) / rate
         return ratio - np.log(ratio) - 1.0
 
-    losses = _assemble(block_losses, int(replications), int(workers))
+    losses = _block_loop(int(n), (rate,), replications, rng, workers, score)
     return _estimate_from_losses(losses, rng.seed)
 
 
@@ -319,8 +318,8 @@ def exact_risk_scaleinv_k2(
     for r in rates:
         if not (r > 0) or math.isinf(r):
             raise DomainError(f"rates must be finite and positive, got {r}")
-    if not (c > 0):
-        raise DomainError(f"estimator constant c must be positive, got {c}")
+    if not (0 < c < math.inf):
+        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
     if not float(n).is_integer() or n < 2:
         raise DomainError(f"sample size n must be an integer >= 2, got {n}")
     q = max(rates) / min(rates)
@@ -374,8 +373,8 @@ def sup_risk_scaleinv(c: float, n: int) -> float:
     and exceeds it for every other c, which is what rules the other
     scale-inverse members out of minimaxity.
     """
-    if not (c > 0):
-        raise DomainError(f"estimator constant c must be positive, got {c}")
+    if not (0 < c < math.inf):
+        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
     if not float(n).is_integer() or n < 2:
         raise DomainError(f"sample size n must be an integer >= 2, got {n}")
     return c / (n - 1.0) - math.log(c) + digamma(float(n)) - 1.0

@@ -332,6 +332,94 @@ class TestBuildEstimator:
             build_estimator("zzz", 5, 2, None, None)
 
 
+class TestOneConfigPath:
+    """Every command runs from one validated config and takes only the
+    flags it reads."""
+
+    def test_dominance_resolves_only_its_two_tokens(self, capsys):
+        # The default estimator list holds N1 (needs n >= 3) and N2I
+        # (alpha 0.5 is above its bound); neither is in these comparisons.
+        for argv in (("N2", "ML", "--n", "2"), ("N1", "N2", "--alpha", "0.5")):
+            code, out, err = run_cli(
+                capsys, "dominance", *argv, "--scales", "1,1", "--reps", "200"
+            )
+            assert code == 0 and err == ""
+            assert "# verdict:" in out
+
+    def test_exact_worker_count_invariant(self, capsys):
+        argv = ("exact", "--c", "4", "--scales", "0.3,0.2", "--reps", "9000")
+        _, one, _ = run_cli(capsys, *argv, "--workers", "1")
+        code, two, err = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 0 and err == ""
+        assert one == two
+
+    def test_exact_rejects_zero_workers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--c", "4", "--scales", "1,1", "--workers", "0"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: workers:")
+
+    @pytest.mark.parametrize("flag, field", [("--n", "n"), ("--k", "k")])
+    def test_n_and_k_errors_name_the_field(self, capsys, flag, field):
+        code, _, err = run_cli(capsys, "risk-table", flag, "1")
+        assert code == 1
+        assert err.startswith(f"error: {field}: need {field} >= 2")
+
+    @pytest.mark.parametrize("scales", ["inf,1", "1e-320,1", "nan,1"])
+    def test_nonfinite_scale_or_rate_names_scales(self, capsys, scales):
+        code, _, err = run_cli(capsys, "risk-table", "--scales", scales, "--reps", "50")
+        assert code == 1
+        assert err.startswith("error: scales:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--reps", "5"),
+            ("bounds", "--n", "5", "--workers", "0"),
+            ("dominance", "N1", "N2", "--estimators", "N2"),
+            ("exact", "--c", "4", "--scales", "1,1", "--k", "2"),
+        ],
+    )
+    def test_flag_a_command_does_not_read_is_an_argparse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_infinite_constant_token_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "risk-table", "--estimators", "cinf", "--scales", "1,1", "--reps", "50"
+        )
+        assert code == 1 and out == ""
+        assert "'cinf'" in err and "c must be positive and finite" in err
+
+    def test_exact_infinite_constant_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--c", "inf", "--scales", "1,1")
+        assert code == 1 and out == ""
+        assert "c must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("alpha = abc", "alpha: expected a number, got 'abc'"),
+         ("h_count = x", "h_count: expected an integer, got 'x'")],
+    )
+    def test_config_file_number_names_the_key(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"scales = 1,1\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "risk-table", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_config_file_is_validated_as_a_whole(self, capsys, tmp_path):
+        # bounds reads only n and k, but a bad key elsewhere in its file fails.
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 5\nreps = 0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "bounds", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: reps:")
+
+
 class TestGoldenBytes:
     """Output bytes pinned to sha256 digests; any change to the sampler,
     the loss kernel, block assembly or rendering shows up here."""
@@ -358,8 +446,34 @@ class TestGoldenBytes:
                 ),
                 "15d08eec77396c0ac162d3bded44fdfc4d945825eab3c49b0678e84d54a8fb34",
             ),
+            (
+                ("bounds", "--n", "5"),
+                "4ffd132355cb168c42f3a7dacc5344988b0ae51e47621d337820b473c2b60614",
+            ),
+            (
+                ("bounds", "--n", "8", "--format", "json"),
+                "526e9a1dd8e4137b1b07716e08602bd4ad10d36c347d584220ec69f69e13ebe4",
+            ),
+            (
+                ("bounds", "--n", "5", "--k", "3"),
+                "e2fdced5a945a4de093bc8e46d8fde195dd46b1f80d33d2a5247f437ac6fe166",
+            ),
+            (
+                ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
+                "9f6dfeed811265c5714e75fa907e7e2514ca51e0d669fc27b7e72fa0909d46ae",
+            ),
+            (
+                (
+                    "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
+                    "--seed", "9", "--format", "json",
+                ),
+                "5dd1db26ac837d5cfbd115c1b921a79049751c22d1ba32340dc473fa76e9341f",
+            ),
         ],
-        ids=["risk-table-default", "plot-data", "dominance-k5"],
+        ids=[
+            "risk-table-default", "plot-data", "dominance-k5", "bounds-n5", "bounds-n8-json",
+            "bounds-n5-k3", "exact-text", "exact-json",
+        ],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)

@@ -100,6 +100,16 @@ class TestEstimatorSpecValidation:
         with pytest.raises(DomainError):
             EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=1)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_nonfinite_c(self, c):
+        with pytest.raises(DomainError, match="c must be positive and finite"):
+            EstimatorSpec(EstimatorKind.SCALE_INVERSE, c)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=alpha, h_count=2)
+
 
 class TestEvaluate:
     def test_scale_inverse_is_division(self):

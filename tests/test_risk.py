@@ -384,3 +384,22 @@ class TestMcRisks:
             mc_risks((), POP, 100, RNG)
         with pytest.raises(DomainError):
             mc_risks((n2(5),), POP, 0, RNG)
+
+
+class TestNonFiniteInputs:
+    """An infinite constant or rate is a DomainError, never a NaN risk."""
+
+    @pytest.mark.parametrize("rate, c", [(math.inf, 4.0), (1.0, math.inf), (math.nan, 4.0)])
+    def test_mc_risk_component(self, rate, c):
+        with pytest.raises(DomainError, match="finite"):
+            mc_risk_component(5, rate, c, 100, RNG)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_exact_risk_scaleinv_k2(self, c):
+        with pytest.raises(DomainError, match="estimator constant c"):
+            exact_risk_scaleinv_k2(c, (1.0, 2.0), 5)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_sup_risk_scaleinv(self, c):
+        with pytest.raises(DomainError, match="estimator constant c"):
+            sup_risk_scaleinv(c, 5)
