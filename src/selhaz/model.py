@@ -28,27 +28,56 @@ _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _STREAM_SALT = _U64(0xD1B54A32D192ED03)
 
+# Draws per sampler chunk: three uint64 buffers of this length (384 KiB in
+# all) serve every chunk of a block. Only speed depends on it, not the bits.
+_CHUNK_DRAWS = 16384
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 wrap-around is the whole point here.
-    z = np.asarray(z, dtype=_U64)
-    z = (z ^ (z >> _U64(30))) * _MIX_1
-    z = (z ^ (z >> _U64(27))) * _MIX_2
-    return z ^ (z >> _U64(31))
+
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer, in place on z with tmp as scratch of z's shape;
+    # uint64 wrap-around is the whole point here.
+    for shift, mult in ((_U64(30), _MIX_1), (_U64(27), _MIX_2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _U64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def _stream_key(seed: int, stream_id: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        h = _mix64(_U64(seed) + _GOLDEN)
-        h = _mix64(h ^ (_U64(stream_id) + _STREAM_SALT))
-    return _U64(h)
+    # _mix64 on Python ints: two hashes per call cost less than numpy's
+    # per-operation overhead on one-element arrays.
+    def mix(z: int) -> int:
+        z = ((z ^ (z >> 30)) * int(_MIX_1)) % 2**64
+        z = ((z ^ (z >> 27)) * int(_MIX_2)) % 2**64
+        return z ^ (z >> 31)
+
+    h = mix((seed + int(_GOLDEN)) % 2**64)
+    return _U64(mix(h ^ ((stream_id + int(_STREAM_SALT)) % 2**64)))
 
 
-def _uniforms(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    # Top 53 bits, centered: values lie strictly inside (0, 1), so
-    # log(u) below is always finite.
-    z = _mix64(key + (counters + _U64(1)) * _GOLDEN)
-    return ((z >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def _uniforms(
+    key: np.uint64, first: int, ramp: np.ndarray, work: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Uniforms for the counters first, first + 1, ..., len(ramp) of them.
+
+    The hash input of counter c is key + (c + 1) * _GOLDEN mod 2**64, so
+    ramp holds i * _GOLDEN for i = 1, 2, ..., and one addition of
+    key + first * _GOLDEN gives every input. work and scratch are uint64
+    buffers of ramp's length; the result is scratch viewed as float64.
+    Top 53 bits, centered: values lie strictly inside (0, 1), so log(u) is
+    always finite.
+    """
+    np.add(ramp, _U64((int(key) + first * int(_GOLDEN)) % 2**64), out=work)
+    _mix64(work, scratch)
+    work >>= _U64(11)
+    u = scratch.view(np.float64)
+    # Exact: every value is below 2**53.
+    np.copyto(u, work, casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -115,6 +144,11 @@ def _sum_blocks(
     counters run consecutively from rep_start * k * n. A range whose last
     counter would not fit in 64 bits is rejected: wrapping would silently
     repeat another replication's draws.
+
+    Every uniform is a pure function of its counter, so the block is drawn
+    in chunks of whole replications, about _CHUNK_DRAWS draws each, through
+    three buffers reused from chunk to chunk. Working memory is at most
+    24 * max(_CHUNK_DRAWS, k * n) bytes, whatever count is.
     """
     k = len(rates)
     if (rep_start + count) * k * n > 2**64:
@@ -123,12 +157,26 @@ def _sum_blocks(
             f"draw counter at k={k}, n={n}"
         )
     key = _stream_key(rng.seed, rng.stream_id)
-    counters = np.arange(count * k * n, dtype=_U64) + _U64(rep_start * k * n)
-    u = _uniforms(key, counters.reshape(count, k, n))
-    # Exponential draws summed over the sample: the exact gamma(n, rate)
-    # construction for integer n, no rejection step.
-    draws = -np.log(u) / rates[None, :, None]
-    return draws.sum(axis=2)
+    per_chunk = min(count, max(1, _CHUNK_DRAWS // (k * n)))
+    ramp = np.arange(1, per_chunk * k * n + 1, dtype=_U64)
+    ramp *= _GOLDEN
+    work = np.empty_like(ramp)
+    scratch = np.empty_like(ramp)
+    # log(u) / -r is -log(u) / r to the bit: IEEE division is symmetric in sign.
+    neg_rates = -rates[None, :, None]
+    out = np.empty((count, k))
+    for s in range(0, count, per_chunk):
+        m = min(per_chunk, count - s)
+        size = m * k * n
+        u = _uniforms(key, (rep_start + s) * k * n, ramp[:size], work[:size], scratch[:size])
+        # Exponential draws summed over the sample: the exact gamma(n, rate)
+        # construction for integer n, no rejection step. The row sum stays
+        # numpy's: it is pairwise from 8 terms on, and the bits depend on it.
+        np.log(u, out=u)
+        draws = u.reshape(m, k, n)
+        draws /= neg_rates
+        draws.sum(axis=2, out=out[s : s + m])
+    return out
 
 
 def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float, ...]:

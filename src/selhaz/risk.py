@@ -101,23 +101,36 @@ def entropy_loss(d: float, sigma_selected: float) -> float:
     return max(0.0, x - math.log(x) - 1.0)
 
 
-def _losses_for_sums(spec: EstimatorSpec, pop: PopulationSet, sums: np.ndarray) -> np.ndarray:
-    # Vectorized mirror of estimators.evaluate followed by entropy_loss.
-    # Must produce exactly what the scalar route produces; a unit test
-    # holds the two routes together.
-    rates = np.asarray(pop.rates)
+def _losses_for_sums(specs, pop: PopulationSet, sums: np.ndarray) -> np.ndarray:
+    """Entropy losses of every spec on the same sums, shape (len(specs), rows).
+
+    Vectorized mirror of estimators.evaluate followed by entropy_loss. Must
+    produce exactly what the scalar route produces; a unit test holds the
+    two routes together. The selection is made once, and the geometric
+    mean once per distinct h_count.
+    """
     jj = np.argmax(sums, axis=1)
-    rows = np.arange(sums.shape[0])
-    yj = sums[rows, jj]
-    sj = rates[jj]
-    d = spec.c / yj
-    if spec.kind is EstimatorKind.IMPROVED:
-        h = spec.h_count
-        top = np.sort(sums, axis=1)[:, ::-1][:, :h]
-        x_stat = np.exp(np.mean(np.log(top), axis=1))
-        d = d + spec.alpha * (pop.n * h - 1.0) / (h * x_stat)
-    ratio = d / sj
-    return ratio - np.log(ratio) - 1.0
+    yj = sums[np.arange(sums.shape[0]), jj]
+    sj = np.asarray(pop.rates)[jj]
+    desc = None
+    h_times_x = {}
+    out = np.empty((len(specs), sums.shape[0]))
+    tmp = np.empty(sums.shape[0])
+    for row, spec in zip(out, specs):
+        np.divide(spec.c, yj, out=row)
+        if spec.kind is EstimatorKind.IMPROVED:
+            h = spec.h_count
+            if h not in h_times_x:
+                if desc is None:
+                    desc = np.sort(sums, axis=1)[:, ::-1]
+                h_times_x[h] = h * np.exp(np.mean(np.log(desc[:, :h]), axis=1))
+            np.divide(spec.alpha * (pop.n * h - 1.0), h_times_x[h], out=tmp)
+            row += tmp
+        row /= sj
+        np.log(row, out=tmp)
+        row -= tmp
+        row -= 1.0
+    return out
 
 
 def _blocks(replications: int) -> list[tuple[int, int]]:
@@ -182,7 +195,7 @@ def mc_risks(
         raise DomainError("mc_risks needs at least one estimator spec")
 
     def score(sums: np.ndarray) -> np.ndarray:
-        return np.stack([_losses_for_sums(s, pop, sums) for s in specs])
+        return _losses_for_sums(specs, pop, sums)
 
     for spec in specs:
         _validate_for(spec, pop)
@@ -222,7 +235,8 @@ def mc_dominance(
     # Each block reduces to loss_a - loss_b at once; a (2, reps) loss
     # matrix would raise peak memory on long runs.
     def score(sums: np.ndarray) -> np.ndarray:
-        return _losses_for_sums(spec_a, pop, sums) - _losses_for_sums(spec_b, pop, sums)
+        loss_a, loss_b = _losses_for_sums((spec_a, spec_b), pop, sums)
+        return loss_a - loss_b
 
     _validate_for(spec_a, pop)
     _validate_for(spec_b, pop)

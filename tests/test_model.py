@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from selhaz.model import (
     PopulationSet,
     RngSpec,
     SelectionOutcome,
+    _CHUNK_DRAWS,
     _sum_blocks,
     draw_sums,
     geometric_mean_stat,
@@ -247,3 +249,67 @@ class TestCounterRange:
         rates = np.asarray(self.POP4.rates)
         with pytest.raises(DomainError, match="64-bit"):
             _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
+
+
+def _rowwise(n: int, rates: tuple[float, ...], rep_start: int, count: int) -> np.ndarray:
+    pop = PopulationSet(n=n, rates=rates)
+    return np.asarray([draw_sums(pop, RNG, rep_start + i) for i in range(count)])
+
+
+class TestChunkEdges:
+    """A block is drawn in chunks of whole replications; where the chunks
+    fall must not change a bit of any replication's sums."""
+
+    def test_count_not_a_multiple_of_the_chunk(self):
+        rates = (1.0, 2.0)
+        per_chunk = _CHUNK_DRAWS // (2 * 5)
+        count = 2 * per_chunk + 7
+        block = _sum_blocks(5, np.asarray(rates), RNG, 11, count)
+        np.testing.assert_array_equal(block, _rowwise(5, rates, 11, count))
+
+    def test_replication_larger_than_a_chunk(self):
+        # k * n = 2 * (_CHUNK_DRAWS + 1): one replication per chunk.
+        n, rates = _CHUNK_DRAWS + 1, (1.0, 3.0)
+        block = _sum_blocks(n, np.asarray(rates), RNG, 5, 3)
+        np.testing.assert_array_equal(block, _rowwise(n, rates, 5, 3))
+
+    def test_block_ending_at_the_last_counter(self):
+        # k * n = 8, so the replications end exactly at counter 2**64 - 1.
+        rates = (1.0, 2.0)
+        count = _CHUNK_DRAWS // 8 + 5
+        start = 2**61 - count
+        block = _sum_blocks(4, np.asarray(rates), RNG, start, count)
+        np.testing.assert_array_equal(block, _rowwise(4, rates, start, count))
+
+
+class TestSamplerMemory:
+    """The sampler works in a fixed budget, whatever the block size or k * n,
+    as long as one replication fits in a chunk."""
+
+    BUDGET = 1 << 20  # bytes, beyond the (count, k) result
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "n, k, count", [(5, 2, 4096), (8, 2, 4096), (5, 2, 20_000), (60, 5, 4096), (3, 5, 1)]
+    )
+    def test_peak_beyond_the_result(self, n, k, count):
+        rates = np.linspace(1.0, 2.0, k)
+        peak = self._peak(lambda: _sum_blocks(n, rates, RNG, 0, count))
+        assert peak - 8 * count * k < self.BUDGET
+
+    def test_overflow_rejected_before_allocating(self):
+        rates = np.asarray([1.0, 2.0])
+
+        def call():
+            with pytest.raises(DomainError, match="64-bit"):
+                _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
+
+        assert self._peak(call) < 64 * 1024

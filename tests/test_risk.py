@@ -8,6 +8,7 @@ digamma oracle from conftest.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from selhaz.estimators import (
     n2,
     n2_improved,
 )
-from selhaz.model import PopulationSet, RngSpec, _sum_blocks, select
+from selhaz.model import PopulationSet, RngSpec, _sum_blocks, draw_sums, select
 from selhaz.numerics import DomainError, digamma
 from selhaz.risk import (
     BayesPrior,
@@ -102,7 +103,7 @@ class TestLossKernelMatchesEvaluate:
     def test_elementwise_agreement(self, spec_factory):
         spec = spec_factory()
         sums = _sum_blocks(POP.n, np.asarray(POP.rates), RNG, 0, 512)
-        vectorized = _losses_for_sums(spec, POP, sums)
+        vectorized = _losses_for_sums((spec,), POP, sums)[0]
         scalar = np.empty(512)
         for i in range(512):
             outcome = select(POP, tuple(sums[i]))
@@ -110,6 +111,36 @@ class TestLossKernelMatchesEvaluate:
                 evaluate(spec, outcome, POP), outcome.sigma_selected
             )
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-13, atol=0.0)
+
+
+class TestLossKernelSharedWork:
+    """One kernel call scores many specs: the selection is shared, and the
+    geometric mean is computed once per distinct h_count."""
+
+    POP5 = PopulationSet(n=4, rates=(1.0, 2.0, 1.25, 3.0, 0.5))
+
+    def test_mixed_tuple_matches_evaluate(self):
+        pop = self.POP5
+        h3 = n2_improved(4, 5, h_count=3)
+        specs = (h3, ml_improved(4, 5), h3, n2(4))
+        sums = _sum_blocks(pop.n, np.asarray(pop.rates), RNG, 0, 512)
+        losses = _losses_for_sums(specs, pop, sums)
+        assert losses.shape == (len(specs), 512)
+        np.testing.assert_array_equal(losses[0], losses[2])
+        for spec, row in zip(specs, losses):
+            scalar = np.empty(512)
+            for i in range(512):
+                outcome = select(pop, tuple(sums[i]))
+                scalar[i] = entropy_loss(
+                    evaluate(spec, outcome, pop), outcome.sigma_selected
+                )
+            np.testing.assert_allclose(row, scalar, rtol=1e-13, atol=0.0)
+
+    def test_identical_improved_specs_give_exact_zero(self):
+        spec = n2_improved(4, 5, h_count=3)
+        cmp = mc_dominance(spec, spec, self.POP5, 5000, RNG, workers=2)
+        assert cmp.mean_diff == 0.0
+        assert cmp.std_error_diff == 0.0
 
 
 class TestMcRisk:
@@ -403,3 +434,50 @@ class TestNonFiniteInputs:
     def test_sup_risk_scaleinv(self, c):
         with pytest.raises(DomainError, match="estimator constant c"):
             sup_risk_scaleinv(c, 5)
+
+
+def _bit_digest(n: int, k: int) -> str:
+    """sha256 over float.hex of every Monte Carlo output at (n, k).
+
+    Covers mc_risks (plain, h = k and h = 2 improved specs), mc_dominance,
+    mc_risk_component and draw_sums, at counts on both sides of the
+    4096-replication block edge and at one and two workers.
+    """
+    pop = PopulationSet(n=n, rates=(1.0, 2.0, 1.25, 3.0, 0.5)[:k])
+    rng = RngSpec(seed=20260819, stream_id=n * 10 + k)
+    specs = (n2(n), ml(n), n2_improved(n, k), ml_improved(n, k, h_count=2))
+    values = []
+    for reps in (1, 4095, 4097, 9000):
+        for workers in (1, 2):
+            for est in mc_risks(specs, pop, reps, rng, workers=workers):
+                values += [est.mean, est.std_error]
+            cmp = mc_dominance(specs[2], specs[0], pop, reps, rng, workers=workers)
+            values += [cmp.mean_diff, cmp.std_error_diff]
+            est = mc_risk_component(n, 1.5, n - 1.0, reps, rng, workers=workers)
+            values += [est.mean, est.std_error]
+    for replication in (0, 4095, 4096, 8999):
+        values += draw_sums(pop, rng, replication)
+    text = "\n".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBitPins:
+    """Last-bit pins of the Monte Carlo engine. The golden CSVs round to six
+    decimals; these digests see any drift in the sampler, the loss kernel or
+    block assembly, down to the last bit of a mean or standard error."""
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (2, 2, "1b60f9917002ff85330c788c6900e0f1130e429aa8827a32e3d06383bd5e72b6"),
+            (5, 2, "6077437a2000aac914187bb5847bd38e1895229d2ae0b2a232b233c9e54b0a79"),
+            (5, 5, "9a762cf416d1f37445769d4a11218f1a1bb7a38eb633dead9d9a862f204ad999"),
+            (7, 3, "09caa9e5c520d49a513f7eaad87a24f3a6690f836aab3b31691329885c7fc4c2"),
+            (8, 2, "f2a5b7c108d9bca2a49d293212d85e77c8acab049e30f6f755e72361ef35e92f"),
+            (8, 5, "8ccea060b2731d53959cb0b7da6096fced483d1f92cfa2bb7f74ed8a3d96b53c"),
+            (20, 3, "a792a1c99002dbee03868eadc9ac27aef09ccff7be4a51ab2797f540730fe174"),
+            (60, 5, "cbf288ad103c826c027bd7b36e93161e1424e742b8fa4cbfa11dc1a9260689d8"),
+        ],
+    )
+    def test_digest(self, n, k, digest):
+        assert _bit_digest(n, k) == digest
