@@ -1,25 +1,19 @@
 """Command-line surface: risk tables, bounds, dominance checks, plot data.
 
-Commands
---------
-risk-table   Monte Carlo risk of each estimator on a grid of scale vectors.
-bounds       Admissible interval, minimax value, sup-risk bounds, alpha bounds.
-dominance    Paired risk differences for two estimators on the grid.
-plot-data    Long-format (ratio, estimator, risk) series for external plotting.
-exact        Quadrature risk for k = 2 against its Monte Carlo cross-check.
-
 Populations are entered as scales (1/sigma_i), matching the table headers
 users see; rates are derived internally. Each command takes only the flags
 it reads. A flat key=value config file can hold any of the options; explicit
 flags win over the file, and every command validates the merged config as a
 whole. Every run is a pure function of (config, seed), so reruns and worker
 counts never change the output bytes.
+
+Each part of the surface is stated once: every option in _OPTIONS, every
+table format in _render, every subcommand in _COMMANDS.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -60,20 +54,6 @@ class ConfigError(ValueError):
 _DEFAULT_SCALE_1 = (0.3, 0.5, 0.7, 0.9, 1.0)
 _DEFAULT_SCALE_2 = (0.2, 0.4, 0.6, 0.8, 1.0)
 
-_DEFAULTS = {
-    "n": 5,
-    "k": 2,
-    "reps": 5000,
-    "seed": 1729,
-    "format": "csv",
-    "workers": 1,
-    "estimators": "N1,N2,N2I,ML,MLI",
-    "scales": None,
-    "alpha": None,
-    "h_count": None,
-}
-
-_NAMED_ESTIMATORS = ("ML", "N1", "N2", "N2I", "MLI")
 _FORMATS = ("csv", "json", "markdown")
 
 
@@ -146,10 +126,43 @@ def _parse_scales(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def _default_grid(k: int) -> tuple[tuple[float, ...], ...]:
-    if k != 2:
-        raise ConfigError("scales: no default grid exists for k != 2, pass --scales")
-    return tuple((s1, s2) for s1 in _DEFAULT_SCALE_1 for s2 in _DEFAULT_SCALE_2)
+def _parse_tokens(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# Every option once: key -> (ExperimentConfig field, default, parser, argparse
+# settings). The key is the config-file key, and with '_' spelled '-' the flag.
+# Options without a field are flags only, never config keys. An int or float
+# parser is also the flag's argparse type. Rows follow the field order of
+# ExperimentConfig, so a config with two bad values reports the first field.
+_OPTIONS = {
+    "n": ("n", 5, int, dict(help="sample size per population")),
+    "k": ("k", 2, int, dict(help="number of populations")),
+    "scales": ("scales_grid", None, _parse_scales, dict(
+        help="scale grid: vectors split by ';', entries by ',' (e.g. '0.3,0.2;0.5,0.6')")),
+    "estimators": ("estimators", "N1,N2,N2I,ML,MLI", _parse_tokens, dict(
+        help="comma list: ML,N1,N2,N2I,MLI, c<value>, or i<c>:<alpha>:<h>")),
+    "reps": ("replications", 5000, int, dict(help="Monte Carlo replications")),
+    "seed": ("seed", 1729, int, dict(help="base seed")),
+    "format": ("output_format", "csv", str, dict(
+        choices=_FORMATS, help="output format (default csv)")),
+    "workers": ("workers", 1, int, dict(help="parallel workers")),
+    "alpha": ("alpha", None, float, dict(help="override alpha for N2I/MLI")),
+    "h_count": ("h_count", None, int, dict(
+        help="override the geometric-mean order count for N2I/MLI")),
+    "config": (None, None, None, dict(help="key=value config file")),
+    "out": (None, None, None, dict(help="write the report to this path")),
+}
+
+_DEFAULTS = {key: default for key, (field, default, _, _) in _OPTIONS.items() if field}
+
+_NAMED = {
+    "ML": lambda n, k, alpha, h_count: ml(n),
+    "N1": lambda n, k, alpha, h_count: n1(n),
+    "N2": lambda n, k, alpha, h_count: n2(n),
+    "N2I": n2_improved,
+    "MLI": ml_improved,
+}
 
 
 def build_estimator(
@@ -162,18 +175,10 @@ def build_estimator(
     i4:0.25:2. The --alpha and --h-count overrides apply to the named
     improved estimators only.
     """
-    upper = token.upper()
     try:
-        if upper == "ML":
-            return ml(n)
-        if upper == "N1":
-            return n1(n)
-        if upper == "N2":
-            return n2(n)
-        if upper == "N2I":
-            return n2_improved(n, k, alpha, h_count)
-        if upper == "MLI":
-            return ml_improved(n, k, alpha, h_count)
+        named = _NAMED.get(token.upper())
+        if named is not None:
+            return named(n, k, alpha, h_count)
         if token[:1] in ("c", "C") and len(token) > 1:
             return EstimatorSpec(
                 kind=EstimatorKind.SCALE_INVERSE, c=float(token[1:]), name=token
@@ -193,7 +198,7 @@ def build_estimator(
         raise ConfigError(f"estimators: bad token {token!r}: {exc}") from exc
     raise ConfigError(
         f"estimators: unknown estimator {token!r} "
-        f"(named: {', '.join(_NAMED_ESTIMATORS)}; or c<value>, i<c>:<alpha>:<h>)"
+        f"(named: {', '.join(_NAMED)}; or c<value>, i<c>:<alpha>:<h>)"
     )
 
 
@@ -222,25 +227,22 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _config_text(value) -> str:
+    """A field value as config text that parses back to the same value."""
+    if isinstance(value, tuple):
+        separator = ";" if isinstance(value[0], tuple) else ","
+        return separator.join(_config_text(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Config as key=value text; parsing it back reproduces the run."""
-    lines = [
-        f"n = {cfg.n}",
-        f"k = {cfg.k}",
-        f"reps = {cfg.replications}",
-        f"seed = {cfg.seed}",
-        f"format = {cfg.output_format}",
-        f"workers = {cfg.workers}",
-        f"estimators = {','.join(cfg.estimators)}",
-    ]
-    if cfg.scales_grid is not None:
-        lines.append(
-            "scales = " + ";".join(",".join(f"{s:g}" for s in row) for row in cfg.scales_grid)
-        )
-    if cfg.alpha is not None:
-        lines.append(f"alpha = {cfg.alpha:g}")
-    if cfg.h_count is not None:
-        lines.append(f"h_count = {cfg.h_count}")
+    """Config as key=value text; parsing it back gives cfg exactly, since
+    floats are written in shortest round-trip form."""
+    lines = []
+    for key in _DEFAULTS:
+        value = getattr(cfg, _OPTIONS[key][0])
+        if value is not None:
+            lines.append(f"{key} = {_config_text(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -256,34 +258,19 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _number(merged: dict, key: str, kind=int):
-    """merged[key] as an int or float, or None if unset; ConfigError names the key."""
-    value = merged[key]
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {noun}, got {value!r}") from exc
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The one validated config every command runs from."""
-    merged = _merge(args)
-    scales = merged["scales"]
-    return ExperimentConfig(
-        n=_number(merged, "n"),
-        k=_number(merged, "k"),
-        scales_grid=None if scales is None else _parse_scales(scales),
-        estimators=tuple(t.strip() for t in merged["estimators"].split(",") if t.strip()),
-        replications=_number(merged, "reps"),
-        seed=_number(merged, "seed"),
-        output_format=str(merged["format"]),
-        workers=_number(merged, "workers"),
-        alpha=_number(merged, "alpha", float),
-        h_count=_number(merged, "h_count"),
-    )
+    fields = {}
+    for key, value in _merge(args).items():
+        field, _, parse, _ = _OPTIONS[key]
+        try:
+            fields[field] = None if value is None else parse(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            noun = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{key}: expected {noun}, got {value!r}") from exc
+    return ExperimentConfig(**fields)
 
 
 def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
@@ -292,56 +279,42 @@ def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
 
 def _grid(cfg: ExperimentConfig):
     """Yield (scales, populations, stream) per grid row; row i draws from stream i."""
-    grid = _default_grid(cfg.k) if cfg.scales_grid is None else cfg.scales_grid
+    grid = cfg.scales_grid
+    if grid is None:
+        if cfg.k != 2:
+            raise ConfigError("scales: no default grid exists for k != 2, pass --scales")
+        grid = [(s1, s2) for s1 in _DEFAULT_SCALE_1 for s2 in _DEFAULT_SCALE_2]
     for row_index, scales in enumerate(grid):
         pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
         yield scales, pop, RngSpec(seed=cfg.seed, stream_id=row_index)
 
 
-def _meta(cfg: ExperimentConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "n": cfg.n,
-        "k": cfg.k,
-        "replications": cfg.replications,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "estimators": list(cfg.estimators),
-    }
+def _render(cfg: ExperimentConfig, command: str, header, rows, verdict=None) -> str:
+    """A table in cfg's format: CSV, markdown, or JSON with the run's meta.
 
-
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
-
-
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+    A verdict follows the rows: as a '# ' comment line in CSV, as a
+    paragraph in markdown, and as the "verdict" key in JSON.
+    """
+    if cfg.output_format == "json":
+        meta = dict(
+            command=command, version=__version__, n=cfg.n, k=cfg.k,
+            replications=cfg.replications, seed=cfg.seed, workers=cfg.workers,
+            estimators=list(cfg.estimators),
+        )
+        payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
+        if verdict:
+            payload["verdict"] = verdict
+        return json.dumps(payload, indent=2) + "\n"
+    if cfg.output_format == "csv":
+        lines = [",".join(row) for row in (header, *rows)]
+        if verdict:
+            lines.append(f"# {verdict}")
+    else:
+        lines = ["| " + " | ".join(row) + " |" for row in (header, *rows)]
+        lines.insert(1, "|" + "|".join(" --- " for _ in header) + "|")
+        if verdict:
+            lines.append(f"\n{verdict}")
     return "\n".join(lines) + "\n"
-
-
-def _render(cfg_format: str, header: list[str], rows: list[list[str]], meta: dict, extra=None) -> str:
-    if cfg_format == "csv":
-        text = _csv_table(header, rows)
-        if extra:
-            text += f"# {extra}\n"
-        return text
-    if cfg_format == "markdown":
-        text = _markdown_table(header, rows)
-        if extra:
-            text += f"\n{extra}\n"
-        return text
-    payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-    if extra:
-        payload["verdict"] = extra
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_risk_table(cfg: ExperimentConfig) -> str:
@@ -356,7 +329,7 @@ def cmd_risk_table(cfg: ExperimentConfig) -> str:
         for est in mc_risks(specs, pop, cfg.replications, rng, workers=cfg.workers):
             cells += [f"{est.mean:.6f}", f"{est.std_error:.6f}"]
         rows.append(cells)
-    return _render(cfg.output_format, header, rows, _meta(cfg, "risk-table"))
+    return _render(cfg, "risk-table", header, rows)
 
 
 def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
@@ -385,9 +358,7 @@ def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
         verdict = f"{label_a} dominates {label_b} at 3 std errors"
     else:
         verdict = "inconclusive at 3 std errors"
-    return _render(
-        cfg.output_format, header, rows, _meta(cfg, "dominance"), extra=f"verdict: {verdict}"
-    )
+    return _render(cfg, "dominance", header, rows, verdict=f"verdict: {verdict}")
 
 
 def cmd_plot_data(cfg: ExperimentConfig) -> str:
@@ -408,11 +379,15 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
         [f"{ratio:.6g}", label, f"{mean:.6f}", f"{se:.6f}"]
         for label, ratio, mean, se in records
     ]
-    return _csv_table(["ratio", "estimator", "risk", "std_error"], rows)
+    return _render(cfg, "plot-data", ["ratio", "estimator", "risk", "std_error"], rows)
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> str:
-    """Admissibility interval, minimax value, sup-risk and alpha bounds."""
+    """Admissibility interval, minimax value, sup-risk and alpha bounds.
+
+    All but the alpha bounds are k = 2 results, whatever --k is, and the
+    sup-risk rows are q -> infinity limits (see sup_risk_scaleinv).
+    """
     n, k = cfg.n, cfg.k
     rng = admissible_range(n)
     minimax = gb_component_risk(n)
@@ -491,31 +466,23 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     )
 
 
-# Option flags by name; each subcommand registers only the ones it reads.
-_FLAGS = {
-    "n": dict(type=int, help="sample size per population"),
-    "k": dict(type=int, help="number of populations"),
-    "reps": dict(type=int, help="Monte Carlo replications"),
-    "seed": dict(type=int, help="base seed"),
-    "format": dict(choices=_FORMATS, help="output format (default csv)"),
-    "config": dict(help="key=value config file"),
-    "out": dict(help="write the report to this path"),
-    "workers": dict(type=int, help="parallel workers"),
-    "scales": dict(
-        help="scale grid: vectors split by ';', entries by ',' (e.g. '0.3,0.2;0.5,0.6')"
-    ),
-    "estimators": dict(help="comma list: ML,N1,N2,N2I,MLI, c<value>, or i<c>:<alpha>:<h>"),
-    "alpha": dict(type=float, help="override alpha for N2I/MLI"),
-    "h-count": dict(
-        dest="h_count", type=int, help="override the geometric-mean order count for N2I/MLI"
-    ),
+# name -> (handler, help, own arguments, option keys in --help order). Own
+# arguments are not config options; main passes their values to the handler
+# after the config.
+_COMMANDS = {
+    "risk-table": (cmd_risk_table, "Monte Carlo risk table on a scale grid", (),
+                   "n k reps seed format config out workers scales estimators alpha h_count"),
+    "bounds": (cmd_bounds, "admissibility and minimax constants", (), "n k format config out"),
+    "dominance": (cmd_dominance, "paired comparison of two estimators", (
+        ("estimator_a", dict(help="first estimator token")),
+        ("estimator_b", dict(help="second estimator token")),
+    ), "n k reps seed format config out workers scales alpha h_count"),
+    "plot-data": (cmd_plot_data, "risk series keyed by scale ratio", (),
+                  "n k reps seed format config out workers scales estimators alpha h_count"),
+    "exact": (cmd_exact, "quadrature risk for k = 2 plus MC check", (
+        ("--c", dict(type=float, required=True, help="estimator constant")),
+    ), "n reps seed format config out workers scales"),
 }
-_GRID_FLAGS = tuple(_FLAGS)
-
-
-def _add_flags(parser: argparse.ArgumentParser, names) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", default=None, **_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,57 +492,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("risk-table", help="Monte Carlo risk table on a scale grid")
-    _add_flags(p_table, _GRID_FLAGS)
-
-    p_bounds = sub.add_parser("bounds", help="admissibility and minimax constants")
-    _add_flags(p_bounds, ("n", "k", "format", "config", "out"))
-
-    p_dom = sub.add_parser("dominance", help="paired comparison of two estimators")
-    p_dom.add_argument("estimator_a", help="first estimator token")
-    p_dom.add_argument("estimator_b", help="second estimator token")
-    _add_flags(p_dom, [f for f in _GRID_FLAGS if f != "estimators"])
-
-    p_plot = sub.add_parser("plot-data", help="risk series keyed by scale ratio")
-    _add_flags(p_plot, _GRID_FLAGS)
-
-    p_exact = sub.add_parser("exact", help="quadrature risk for k = 2 plus MC check")
-    p_exact.add_argument("--c", type=float, required=True, help="estimator constant")
-    _add_flags(
-        p_exact, ("n", "reps", "seed", "format", "config", "out", "workers", "scales")
-    )
-
+    for name, (_, help_text, own, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for arg, settings in own:
+            command.add_argument(arg, **settings)
+        for key in keys.split():
+            _, _, parse, settings = _OPTIONS[key]
+            kind = parse if parse in (int, float) else None
+            command.add_argument("--" + key.replace("_", "-"), default=None, type=kind, **settings)
     return parser
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    handler, _, own, _ = _COMMANDS[args.command]
     try:
         cfg = config_from_args(args)
-        if args.command == "risk-table":
-            text = cmd_risk_table(cfg)
-        elif args.command == "dominance":
-            text = cmd_dominance(cfg, args.estimator_a, args.estimator_b)
-        elif args.command == "plot-data":
-            text = cmd_plot_data(cfg)
-        elif args.command == "bounds":
-            text = cmd_bounds(cfg)
-        else:
-            text = cmd_exact(cfg, args.c)
+        text = handler(cfg, *(getattr(args, arg.lstrip("-")) for arg, _ in own))
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return 0
 
 

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import PopulationSet, SelectionOutcome, geometric_mean_stat
+from .model import PopulationSet, SelectionOutcome, _check_n, geometric_mean_stat
 from .numerics import DomainError, reg_inc_beta
 
 
@@ -58,8 +58,7 @@ class EstimatorSpec:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.c < math.inf):
-            raise DomainError(f"estimator constant c must be positive and finite, got {self.c}")
+        _check_c(self.c)
         if self.kind is EstimatorKind.IMPROVED:
             if self.alpha is None or self.h_count is None:
                 raise DomainError("improved estimator needs alpha and h_count")
@@ -167,9 +166,9 @@ def _improved(
     return spec
 
 
-def _check_n(n: int) -> None:
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+def _check_c(c: float) -> None:
+    if not (0 < c < math.inf):
+        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
 
 
 def evaluate(spec: EstimatorSpec, outcome: SelectionOutcome, pop: PopulationSet) -> float:

@@ -93,6 +93,11 @@ class RngSpec:
                 raise DomainError(f"{label} must fit in 64 unsigned bits, got {value}")
 
 
+def _check_n(n: int) -> None:
+    if not float(n).is_integer() or n < 2:
+        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class PopulationSet:
     """k exponential populations with a common per-population sample size n.
@@ -108,8 +113,7 @@ class PopulationSet:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.rates) < 2:
             raise DomainError(f"need at least 2 populations, got {len(self.rates)}")
-        if not float(self.n).is_integer() or self.n < 2:
-            raise DomainError(f"sample size n must be an integer >= 2, got {self.n}")
+        _check_n(self.n)
         object.__setattr__(self, "n", int(self.n))
         for r in self.rates:
             if not (r > 0) or not np.isfinite(r):

@@ -11,11 +11,11 @@ Closed forms implemented here, all for the selected-hazard problem:
     c*h(q) - ln c + E[ln(sigma_J Y_J)] - 1.
   * gb_component_risk: Psi(n) - ln(n-1), the constant risk of the
     generalized Bayes rule in the single-population component problem and
-    the minimax value of the selection problem.
+    the minimax value of the selection problem with k = 2 populations.
   * bayes_risk: Psi(n + a) - ln(n + a - 1) under a conjugate gamma prior
     with shape a (the prior rate cancels).
-  * sup_risk_scaleinv: c/(n-1) - ln c + Psi(n) - 1, the supremum of the
-    proven upper bound on the risk of c/Y_J; minimized at c = n - 1.
+  * sup_risk_scaleinv: c/(n-1) - ln c + Psi(n) - 1, the q -> infinity
+    limit of the k = 2 risk of c/Y_J; minimized at c = n - 1.
 
 The Monte Carlo engine is deterministic by construction: replications are
 cut into fixed-size blocks, each block's losses are a pure function of the
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorKind, EstimatorSpec, validate_improved
-from .model import PopulationSet, RngSpec, _sum_blocks
+from .estimators import EstimatorKind, EstimatorSpec, _check_c, validate_improved
+from .model import PopulationSet, RngSpec, _check_n, _sum_blocks
 from .numerics import (
     DomainError,
     QuadratureSpec,
@@ -241,10 +241,9 @@ def mc_dominance(
     _validate_for(spec_a, pop)
     _validate_for(spec_b, pop)
     diffs = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
-    n_reps = int(replications)
-    se = float(diffs.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+    est = _estimate_from_losses(diffs, rng.seed)
     return PairedComparison(
-        mean_diff=float(diffs.mean()), std_error_diff=se, replications=n_reps
+        mean_diff=est.mean, std_error_diff=est.std_error, replications=est.replications
     )
 
 
@@ -257,12 +256,10 @@ def mc_risk_component(
     component results (for example Psi(n) - ln(n-1) at c = n - 1) can be
     checked against the same sampling machinery.
     """
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    _check_n(n)
     if not (0 < rate < math.inf):
         raise DomainError(f"rate must be positive and finite, got {rate}")
-    if not (0 < c < math.inf):
-        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
+    _check_c(c)
 
     def score(sums: np.ndarray) -> np.ndarray:
         ratio = (c / sums[:, 0]) / rate
@@ -293,8 +290,7 @@ def h_of_q(q: float, n: int) -> float:
     which is O(q^-(n-1)): at n = 2 it is 2u(1-u), still about 2e-6 at
     q = 10^6.
     """
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    _check_n(n)
     if math.isnan(q) or not (q >= 1.0):
         raise DomainError(f"rate ratio q must be >= 1, got {q}")
     upper = reg_inc_beta(q / (1.0 + q), n, n - 1)
@@ -332,10 +328,8 @@ def exact_risk_scaleinv_k2(
     for r in rates:
         if not (r > 0) or math.isinf(r):
             raise DomainError(f"rates must be finite and positive, got {r}")
-    if not (0 < c < math.inf):
-        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    _check_c(c)
+    _check_n(n)
     q = max(rates) / min(rates)
 
     def winner_term(sigma: float, sigma_other: float):
@@ -358,9 +352,8 @@ def exact_risk_scaleinv_k2(
 
 def gb_component_risk(n: int) -> float:
     """Psi(n) - ln(n-1): the generalized Bayes rule's constant component
-    risk, and the minimax value of the selection problem."""
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    risk, and the minimax value of the selection problem at k = 2."""
+    _check_n(n)
     return digamma(float(n)) - math.log(n - 1.0)
 
 
@@ -371,8 +364,7 @@ def bayes_risk(n: int, prior: BayesPrior) -> float:
     shape enters. Decreasing in shape; the shape -> 0 limit recovers
     gb_component_risk.
     """
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    _check_n(n)
     if not (n + prior.shape > 1.0):
         raise DomainError(
             f"need n + shape > 1, got n={n}, shape={prior.shape}"
@@ -381,14 +373,15 @@ def bayes_risk(n: int, prior: BayesPrior) -> float:
 
 
 def sup_risk_scaleinv(c: float, n: int) -> float:
-    """Supremum of the proven risk bound for c/Y_J over the rate ratio.
+    """The q -> infinity limit of the k = 2 risk of c/Y_J, q the rate ratio.
 
     c/(n-1) - ln c + Psi(n) - 1; equals the minimax value at c = n - 1
     and exceeds it for every other c, which is what rules the other
-    scale-inverse members out of minimaxity.
+    scale-inverse members out of minimaxity. It is the supremum of the
+    risk over q only for c >= n - 1, which was checked numerically for
+    c in {n-1, n}. For smaller c it is not: at n = 5, c = 3 the exact
+    risk at q = 1 is 0.2156, above this limit of 0.1575.
     """
-    if not (0 < c < math.inf):
-        raise DomainError(f"estimator constant c must be positive and finite, got {c}")
-    if not float(n).is_integer() or n < 2:
-        raise DomainError(f"sample size n must be an integer >= 2, got {n}")
+    _check_c(c)
+    _check_n(n)
     return c / (n - 1.0) - math.log(c) + digamma(float(n)) - 1.0

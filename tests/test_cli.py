@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from selhaz.cli import (
     read_config_file,
     serialize_config,
 )
+from selhaz.cli import _build_parser, config_from_args
 
 
 def run_cli(capsys, *argv):
@@ -469,13 +473,95 @@ class TestGoldenBytes:
                 ),
                 "5dd1db26ac837d5cfbd115c1b921a79049751c22d1ba32340dc473fa76e9341f",
             ),
+            (
+                ("risk-table", "--format", "markdown"),
+                "39f1229c5702a94a03f8f503a732974fd9738b1b08e462216cf33c1e3e8d80a7",
+            ),
+            (
+                ("risk-table", "--format", "json"),
+                "c5d272e9517bf81a3ffecac1994d2a01587cadbb21ed183d23e3c1c865c3daa7",
+            ),
+            (
+                ("dominance", "N2", "N1", "--reps", "300", "--format", "markdown"),
+                "bd8730e606c81527f6e96040d9d929da8ba8103ceab7f63bcd5ab98f3a27dc03",
+            ),
+            (
+                ("dominance", "N2", "N1", "--reps", "300", "--format", "json"),
+                "b4370136d4fc03f91b61658e6518355e8a8ee233978ae7fd46737f30752b4839",
+            ),
         ],
         ids=[
             "risk-table-default", "plot-data", "dominance-k5", "bounds-n5", "bounds-n8-json",
             "bounds-n5-k3", "exact-text", "exact-json",
+            "risk-table-markdown", "risk-table-json", "dominance-markdown", "dominance-json",
         ],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestSavedConfigRoundTrip:
+    """serialize_config writes floats that parse back to the same bits."""
+
+    CFG = ExperimentConfig(
+        n=5,
+        k=2,
+        scales_grid=((0.1234567, 1.0),),
+        estimators=("N2", "c4.5"),
+        replications=300,
+        seed=7,
+        output_format="json",
+        workers=2,
+        alpha=0.0123456789,
+        h_count=2,
+    )
+
+    def test_saved_config_reads_back_equal(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(self.CFG), encoding="utf-8")
+        assert config_from_args(argparse.Namespace(config=str(path))) == self.CFG
+
+    def test_exact_from_saved_config_matches_flags(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(self.CFG), encoding="utf-8")
+        code, from_file, err = run_cli(capsys, "exact", "--c", "4", "--config", str(path))
+        assert code == 0 and err == ""
+        _, from_flags, _ = run_cli(
+            capsys, "exact", "--c", "4", "--scales", "0.1234567,1", "--reps", "300",
+            "--seed", "7", "--workers", "2", "--format", "json",
+        )
+        assert from_file == from_flags
+
+
+class TestReadmeFlagTable:
+    """The README's CLI flag table lists exactly the flags each subcommand takes."""
+
+    def readme_rows(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## CLI usage", 1)[1]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) != 2 or not cells[0].startswith("`"):
+                continue
+            for command in re.findall(r"`([a-z-]+)[^`]*`", cells[0]):
+                rows[command] = re.findall(r"--[a-z-]+", cells[1])
+        return rows
+
+    def parser_flags(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {
+            name: [
+                opt for action in command._actions for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            ]
+            for name, command in sub.choices.items()
+        }
+
+    def test_rows_match_the_parser(self):
+        readme, parser = self.readme_rows(), self.parser_flags()
+        assert readme == parser
+        assert sum(len(flags) for flags in parser.values()) == 49
