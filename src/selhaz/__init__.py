@@ -4,7 +4,7 @@ Select the population with the largest sample sum out of k exponential
 populations, then estimate its hazard rate. This package provides the
 scale-inverse estimator family c/Y_J and its improved corrections, the
 admissibility interval and minimax constants for two populations, exact
-k = 2 risks by quadrature, and a deterministic Monte Carlo risk engine
+k = 2 risks in closed form, and a deterministic Monte Carlo risk engine
 whose results do not depend on worker count.
 """
 

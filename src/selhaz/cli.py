@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .estimators import (
@@ -358,7 +358,8 @@ def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
         verdict = f"{label_a} dominates {label_b} at 3 std errors"
     else:
         verdict = "inconclusive at 3 std errors"
-    return _render(cfg, "dominance", header, rows, verdict=f"verdict: {verdict}")
+    compared = replace(cfg, estimators=(name_a, name_b))
+    return _render(compared, "dominance", header, rows, verdict=f"verdict: {verdict}")
 
 
 def cmd_plot_data(cfg: ExperimentConfig) -> str:
@@ -382,12 +383,19 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
     return _render(cfg, "plot-data", ["ratio", "estimator", "risk", "std_error"], rows)
 
 
+def _check_text_or_json(cfg: ExperimentConfig, command: str) -> None:
+    """bounds and exact print plain text (format csv) or JSON; no tables."""
+    if cfg.output_format == "markdown":
+        raise ConfigError(f"format: {command} prints csv (plain text) or json, not markdown")
+
+
 def cmd_bounds(cfg: ExperimentConfig) -> str:
     """Admissibility interval, minimax value, sup-risk and alpha bounds.
 
     All but the alpha bounds are k = 2 results, whatever --k is, and the
     sup-risk rows are q -> infinity limits (see sup_risk_scaleinv).
     """
+    _check_text_or_json(cfg, "bounds")
     n, k = cfg.n, cfg.k
     rng = admissible_range(n)
     minimax = gb_component_risk(n)
@@ -429,7 +437,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 
 def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
-    """Quadrature risk for k = 2 next to its Monte Carlo cross-check."""
+    """Closed-form exact risk for k = 2 next to its Monte Carlo cross-check."""
+    _check_text_or_json(cfg, "exact")
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
     spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
@@ -479,7 +488,7 @@ _COMMANDS = {
     ), "n k reps seed format config out workers scales alpha h_count"),
     "plot-data": (cmd_plot_data, "risk series keyed by scale ratio", (),
                   "n k reps seed format config out workers scales estimators alpha h_count"),
-    "exact": (cmd_exact, "quadrature risk for k = 2 plus MC check", (
+    "exact": (cmd_exact, "closed-form exact risk for k = 2 plus MC check", (
         ("--c", dict(type=float, required=True, help="estimator constant")),
     ), "n reps seed format config out workers scales"),
 }
@@ -515,9 +524,13 @@ def main(argv=None) -> int:
         return 1
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

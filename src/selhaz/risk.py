@@ -7,8 +7,9 @@ Closed forms implemented here, all for the selected-hazard problem:
 
   * h_of_q: the equal-shape pair of regularized incomplete beta terms that
     equals E[1/(sigma_J Y_J)] for two populations with rate ratio q.
-  * exact_risk_scaleinv_k2: risk of c/Y_J for k = 2 by 1-D quadrature,
-    c*h(q) - ln c + E[ln(sigma_J Y_J)] - 1.
+  * exact_risk_scaleinv_k2: risk of c/Y_J for k = 2 in closed form,
+    c*h(q) - ln c + E[ln(sigma_J Y_J)] - 1, the expectation a finite sum
+    of n negative-binomial-weighted digamma terms per population.
   * gb_component_risk: Psi(n) - ln(n-1), the constant risk of the
     generalized Bayes rule in the single-population component problem and
     the minimax value of the selection problem with k = 2 populations.
@@ -33,14 +34,10 @@ import numpy as np
 
 from .estimators import EstimatorKind, EstimatorSpec, _check_c, validate_improved
 from .model import PopulationSet, RngSpec, _check_n, _sum_blocks
-from .numerics import (
-    DomainError,
-    QuadratureSpec,
-    adaptive_quad,
-    digamma,
-    gamma_cdf,
-    reg_inc_beta,
-)
+from .numerics import DomainError, digamma, reg_inc_beta
+
+# Not called here; benchmarks/tracing.py patches both names on this module.
+from .numerics import adaptive_quad, gamma_cdf  # noqa: F401
 
 # Replications per work unit. Fixed: block boundaries are part of the
 # determinism contract, so results cannot depend on the worker count.
@@ -298,29 +295,41 @@ def h_of_q(q: float, n: int) -> float:
     return (upper + lower) / (n - 1.0)
 
 
-def _gamma_log_pdf(y: float, rate: float, shape: int) -> float:
-    return (
-        shape * math.log(rate)
-        + (shape - 1) * math.log(y)
-        - rate * y
-        - math.lgamma(shape)
-    )
+def _expected_log_selected(q: float, n: int) -> float:
+    """E[ln(sigma_J Y_J)] for two populations with rate ratio q >= 1.
+
+    Population i wins with Y_i in dy with density g(y; sigma_i, n)
+    F(y; sigma_other, n). For integer n the Erlang CDF is
+    F(y; s, n) = 1 - exp(-s y) sum_{m<n} (s y)^m / m!, and each term
+    integrates in closed form, so with p_i = sigma_i / (sigma_1 + sigma_2)
+
+        E[ln(sigma_J Y_J)] = sum_i [psi(n) - sum_{m<n} C(n+m-1, m)
+                                    p_i^n (1-p_i)^m (psi(n+m) + ln p_i)].
+
+    Both shares come from q alone, so the result is a function of q.
+    """
+    share_lo, share_hi = 1.0 / (1.0 + q), q / (1.0 + q)
+    psi_n = digamma(float(n))
+    total = 0.0
+    for p, rest in ((share_lo, share_hi), (share_hi, share_lo)):
+        # Negative-binomial weights and psi(n+m) advance by recurrence.
+        weight, psi, log_p, tail = p**n, psi_n, math.log(p), 0.0
+        for m in range(n):
+            tail += weight * (psi + log_p)
+            weight *= rest * (n + m) / (m + 1)
+            psi += 1.0 / (n + m)
+        total += psi_n - tail
+    return total
 
 
-def exact_risk_scaleinv_k2(
-    c: float, rates, n: int, quad: QuadratureSpec | None = None
-) -> float:
-    """Exact (quadrature) risk of c/Y_J for exactly two populations.
+def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:
+    """Exact risk of c/Y_J for exactly two populations, in closed form.
 
-    R = c h(q) - ln c + E[ln(sigma_J Y_J)] - 1 with q the rate ratio.
-    The expectation splits over which population wins the selection:
-
-        E[ln(sigma_J Y_J)] = sum_i INT ln(sigma_i y) g(y; sigma_i, n)
-                                       F(y; sigma_other, n) dy
-
-    with g the gamma density and F the gamma CDF. Both terms depend on
-    the rates only through q, so scaling both rates leaves the risk
-    unchanged.
+    R = c h(q) - ln c + E[ln(sigma_J Y_J)] - 1 with q the rate ratio;
+    h is a pair of incomplete beta terms and the expectation a finite
+    sum of n terms per population (see _expected_log_selected). Both
+    depend on the rates only through q, so scaling both rates leaves
+    the risk unchanged, to the bit whenever q is unchanged.
     """
     rates = tuple(float(r) for r in rates)
     if len(rates) != 2:
@@ -331,23 +340,7 @@ def exact_risk_scaleinv_k2(
     _check_c(c)
     _check_n(n)
     q = max(rates) / min(rates)
-
-    def winner_term(sigma: float, sigma_other: float):
-        def integrand(y: float) -> float:
-            if y <= 0.0:
-                return 0.0
-            log_pdf = _gamma_log_pdf(y, sigma, int(n))
-            cdf = gamma_cdf(y, sigma_other, int(n))
-            if cdf == 0.0:
-                return 0.0
-            return math.log(sigma * y) * math.exp(log_pdf) * cdf
-
-        return integrand
-
-    e_log = 0.0
-    for i in (0, 1):
-        e_log += adaptive_quad(winner_term(rates[i], rates[1 - i]), 0.0, math.inf, quad)
-    return c * h_of_q(q, int(n)) - math.log(c) + e_log - 1.0
+    return c * h_of_q(q, int(n)) - math.log(c) + _expected_log_selected(q, int(n)) - 1.0
 
 
 def gb_component_risk(n: int) -> float:

@@ -55,6 +55,43 @@ def h_tail_gap_oracle(q: Fraction | float, n: int) -> Fraction:
     return math.comb(2 * n - 2, n - 1) * (u * (1 - u)) ** (n - 1) / (n - 1)
 
 
+def expected_log_selected_oracle(q: float, n: int) -> float:
+    """E[ln(sigma_J Y_J)] at rates (1, q) by 40-digit mpmath quadrature.
+
+    Uses T = Y_1/(Y_1 + Y_2), whose density is proportional to
+    t^(n-1) (1-t)^(n-1) / lam(t)^(2n) with lam(t) = t + q(1-t); given
+    T = t the total S is Gamma(2n, lam(t)), so E[ln S | t] =
+    psi(2n) - ln lam(t). Population 1 wins when t > 1/2, with
+    Y_1 = S t. No Erlang CDF enters, so this shares no step with a
+    finite-sum evaluation built on one. Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        q = mp.mpf(q)
+        log_norm = n * mp.log(q) + mp.loggamma(2 * n) - 2 * mp.loggamma(n)
+        psi_2n = mp.digamma(2 * n)
+
+        def weighted(log_sigma, log_share, log_t, log_1mt, lam):
+            log_lam = mp.log(lam)
+            density = mp.exp(log_norm + (n - 1) * (log_t + log_1mt) - 2 * n * log_lam)
+            return (log_sigma + log_share + psi_2n - log_lam) * density
+
+        def rate_1_wins(w):  # t = 1 - w, w in (0, 1/2)
+            log_t = mp.log1p(-w)
+            return weighted(0, log_t, log_t, mp.log(w), 1 - w + q * w)
+
+        def rate_q_wins(t):  # t in (0, 1/2)
+            log_1mt = mp.log1p(-t)
+            return weighted(mp.log(q), log_1mt, mp.log(t), log_1mt, t + q * (1 - t))
+
+        half = mp.mpf(1) / 2
+        # The mass of 1 - T sits near 1/q; a cut there keeps the peak resolved.
+        cuts = [1 / q] if 1 / q < half else []
+        total = mp.quad(rate_1_wins, [0, *cuts, half]) + mp.quad(rate_q_wins, [0, half])
+        return float(total)
+
+
 # ---------------------------------------------------------------------------
 # Acceptance criteria reporting
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ class TestRiskTable:
         _, stdout_text, _ = run_cli(capsys, "risk-table", *SMALL)
         assert target.read_text(encoding="utf-8") == stdout_text
 
+    def test_out_path_that_cannot_be_opened(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "x.txt"
+        code, out, err = run_cli(capsys, "bounds", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: out: cannot write")
+        assert err.count("\n") == 1
+
     def test_json_meta(self, capsys):
         code, out, _ = run_cli(capsys, "risk-table", *SMALL, "--format", "json")
         assert code == 0
@@ -225,6 +232,14 @@ class TestDominance:
         assert row[2] == "0.000000" and row[3] == "0.000000"
         assert "inconclusive at 3 std errors" in out
 
+    def test_json_meta_names_the_compared_pair(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dominance", "N2", "c4.5", "--scales", "1,1", "--reps", "50",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["estimators"] == ["N2", "c4.5"]
+
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "dominance", "N1", "QQ", "--scales", "1,1")
         assert code == 1
@@ -260,6 +275,15 @@ class TestPlotData:
         )
         assert code == 1
         assert "CSV" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("bounds", "--n", "5"), ("exact", "--c", "4", "--scales", "1,1", "--reps", "50")]
+)
+def test_text_commands_reject_markdown(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "markdown")
+    assert code == 1 and out == ""
+    assert err.startswith("error: format:") and "markdown" in err
 
 
 class TestExact:
@@ -471,7 +495,7 @@ class TestGoldenBytes:
                     "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
                     "--seed", "9", "--format", "json",
                 ),
-                "5dd1db26ac837d5cfbd115c1b921a79049751c22d1ba32340dc473fa76e9341f",
+                "cc93c8281f8bb910792149f1d887e2b410e0edca1980d9fb41b42d18f9f15f1a",
             ),
             (
                 ("risk-table", "--format", "markdown"),
@@ -487,7 +511,7 @@ class TestGoldenBytes:
             ),
             (
                 ("dominance", "N2", "N1", "--reps", "300", "--format", "json"),
-                "b4370136d4fc03f91b61658e6518355e8a8ee233978ae7fd46737f30752b4839",
+                "c8bba980ef0d9eb722cd830580270f19f7be6d252a343dcfe499726f2ec335bb",
             ),
         ],
         ids=[

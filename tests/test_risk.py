@@ -3,7 +3,8 @@
 The vectorized loss kernel must agree with the scalar evaluate() path to
 floating-point roundoff: both routes are exercised on the same simulated
 sums and compared elementwise. Closed-form values use the harmonic-sum
-digamma oracle from conftest.
+digamma oracle from conftest; the exact k=2 risk is held to a 40-digit
+mpmath quadrature (skipped when mpmath is absent).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selhaz.estimators import (
+    EstimatorKind,
+    EstimatorSpec,
     admissible_range,
     evaluate,
     ml,
@@ -32,6 +35,7 @@ from selhaz.risk import (
     BayesPrior,
     PairedComparison,
     RiskEstimate,
+    _expected_log_selected,
     _losses_for_sums,
     bayes_risk,
     entropy_loss,
@@ -44,7 +48,7 @@ from selhaz.risk import (
     mc_risks,
     sup_risk_scaleinv,
 )
-from conftest import digamma_int_oracle, euler_gamma_oracle
+from conftest import digamma_int_oracle, euler_gamma_oracle, expected_log_selected_oracle
 
 POP = PopulationSet(n=5, rates=(1.0, 2.0))
 RNG = RngSpec(seed=20260819, stream_id=0)
@@ -173,8 +177,6 @@ class TestMcRisk:
         assert est.replications == 100
 
     def test_invalid_improved_spec_raises(self):
-        from selhaz.estimators import EstimatorKind, EstimatorSpec
-
         bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.9, h_count=2)
         with pytest.raises(DomainError):
             mc_risk(bad, POP, 100, RNG)
@@ -276,7 +278,77 @@ class TestExactRisk:
     def test_scale_invariance(self):
         a = exact_risk_scaleinv_k2(4.0, (2.0, 3.0), 5)
         b = exact_risk_scaleinv_k2(4.0, (4.0, 6.0), 5)
-        assert a == pytest.approx(b, abs=1e-10)
+        assert a == b
+
+    @settings(max_examples=100)
+    @given(
+        c=st.floats(0.1, 100.0),
+        rate=st.floats(1e-3, 1e3),
+        q=st.floats(1.0, 1e9),
+        n=st.integers(2, 40),
+        power=st.integers(-40, 40),
+        factor=st.floats(1e-3, 1e3),
+    )
+    def test_invariant_under_a_common_rate_factor(self, c, rate, q, n, power, factor):
+        rates = (rate, rate * q)
+        risk = exact_risk_scaleinv_k2(c, rates, n)
+        # A power of two leaves q's bits alone, so the risk keeps its bits too.
+        assert exact_risk_scaleinv_k2(c, tuple(r * 2.0**power for r in rates), n) == risk
+        scaled = exact_risk_scaleinv_k2(c, tuple(r * factor for r in rates), n)
+        assert scaled == pytest.approx(risk, rel=0, abs=1e-13)
+
+    @settings(max_examples=100)
+    @given(
+        c=st.floats(0.1, 100.0),
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(1e-3, 1e3),
+        n=st.integers(2, 40),
+    )
+    def test_symmetric_in_the_two_rates(self, c, a, b, n):
+        assert exact_risk_scaleinv_k2(c, (a, b), n) == exact_risk_scaleinv_k2(c, (b, a), n)
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        c_over_n=st.floats(0.5, 1.5),
+        q=st.floats(1.0, 1e4),
+        stream=st.integers(0, 2**32),
+    )
+    def test_agrees_with_mc_risk_within_4_se(self, n, c_over_n, q, stream):
+        c = c_over_n * n
+        spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name="c")
+        pop = PopulationSet(n=n, rates=(1.0, q))
+        est = mc_risk(spec, pop, 100_000, RngSpec(seed=RNG.seed, stream_id=stream))
+        assert abs(est.mean - exact_risk_scaleinv_k2(c, pop.rates, n)) < 4.0 * est.std_error
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 20, 60])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 5.0, 1e2, 1e4, 1e6, 1e9])
+    def test_expected_log_matches_mpmath_oracle(self, n, q):
+        pytest.importorskip("mpmath")
+        oracle = expected_log_selected_oracle(q, n)
+        assert abs(_expected_log_selected(q, n) - oracle) <= 1e-13
+
+    def test_n2_q1e4_regression(self):
+        # Adaptive quadrature over (0, inf) misses the narrow peak near
+        # y = 2/q here by 3.8e-8 while reporting convergence. At n = 2,
+        # I_x(2, 1) = x^2, so h(q) = (q^2 + 1) / (1 + q)^2 and the risk at
+        # c = 1 is h + E - 1.
+        pytest.importorskip("mpmath")
+        q = 1e4
+        want = (q * q + 1.0) / (1.0 + q) ** 2 + expected_log_selected_oracle(q, 2) - 1.0
+        assert abs(exact_risk_scaleinv_k2(1.0, (1.0, q), 2) - want) <= 1e-13
+
+    def test_calls_no_quadrature(self, monkeypatch):
+        import selhaz.numerics
+        import selhaz.risk
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        for module in (selhaz.numerics, selhaz.risk):
+            monkeypatch.setattr(module, "adaptive_quad", forbidden)
+            monkeypatch.setattr(module, "gamma_cdf", forbidden)
+        assert math.isfinite(exact_risk_scaleinv_k2(4.0, (1.0, 3.0), 5))
 
     def test_mc_cross_check_equal_rates(self):
         exact = exact_risk_scaleinv_k2(4.0, (1.0, 1.0), 5)
