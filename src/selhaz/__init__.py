@@ -2,10 +2,11 @@
 
 Select the population with the largest sample sum out of k exponential
 populations, then estimate its hazard rate. This package provides the
-scale-inverse estimator family c/Y_J and its improved corrections, the
-admissibility interval and minimax constants for two populations, exact
-k = 2 risks in closed form, and a deterministic Monte Carlo risk engine
-whose results do not depend on worker count.
+scale-inverse estimator family c/Y_J and its improved corrections, with
+estimate() to evaluate any of them on rows of sums, the admissibility
+interval and minimax constants for two populations, exact k = 2 risks in
+closed form, and a deterministic Monte Carlo risk engine whose results do
+not depend on worker count.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +20,7 @@ from .estimators import (
     admissible_range,
     alpha_upper_bound,
     classify_c,
-    evaluate,
+    estimate,
     ml,
     ml_improved,
     n1,
@@ -27,14 +28,7 @@ from .estimators import (
     n2_improved,
     validate_improved,
 )
-from .model import (
-    PopulationSet,
-    RngSpec,
-    SelectionOutcome,
-    draw_sums,
-    geometric_mean_stat,
-    select,
-)
+from .model import PopulationSet, RngSpec, draw_sums
 from .numerics import (
     DomainError,
     QuadratureConvergenceError,
@@ -77,7 +71,6 @@ __all__ = [
     "QuadratureSpec",
     "RiskEstimate",
     "RngSpec",
-    "SelectionOutcome",
     "adaptive_quad",
     "admissible_range",
     "alpha_upper_bound",
@@ -87,11 +80,10 @@ __all__ = [
     "digamma",
     "draw_sums",
     "entropy_loss",
-    "evaluate",
+    "estimate",
     "exact_risk_scaleinv_k2",
     "gamma_cdf",
     "gb_component_risk",
-    "geometric_mean_stat",
     "h_of_q",
     "ln_gamma",
     "mc_dominance",
@@ -104,7 +96,6 @@ __all__ = [
     "n2",
     "n2_improved",
     "reg_inc_beta",
-    "select",
     "sup_risk_scaleinv",
     "validate_improved",
 ]

@@ -392,18 +392,21 @@ def _check_text_or_json(cfg: ExperimentConfig, command: str) -> None:
 def cmd_bounds(cfg: ExperimentConfig) -> str:
     """Admissibility interval, minimax value, sup-risk and alpha bounds.
 
-    All but the alpha bounds are k = 2 results, whatever --k is, and the
-    sup-risk rows are q -> infinity limits (see sup_risk_scaleinv).
+    Every one is a k = 2 result, so any other k is rejected. The sup-risk
+    rows are the q -> infinity limits at c = n-1 and c = n; for these two
+    the limit is the supremum over q, checked numerically (see
+    sup_risk_scaleinv).
     """
     _check_text_or_json(cfg, "bounds")
     n, k = cfg.n, cfg.k
+    if k != 2:
+        raise ConfigError(f"k: bounds prints k = 2 results only, got k={k}")
     rng = admissible_range(n)
     minimax = gb_component_risk(n)
-    sup_rows = []
-    for c_label, c in (("n-2", n - 2), ("n-1", n - 1), ("n", n)):
-        if c <= 0:
-            continue
-        sup_rows.append((c_label, float(c), sup_risk_scaleinv(float(c), n)))
+    sup_rows = [
+        (c_label, float(c), sup_risk_scaleinv(float(c), n))
+        for c_label, c in (("n-1", n - 1), ("n", n))
+    ]
     alpha_rows = [
         ("n-1", float(n - 1), alpha_upper_bound(n, k, float(n - 1))),
         ("n", float(n), alpha_upper_bound(n, k, float(n))),
@@ -445,7 +448,10 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     scales, pop, rng = next(_grid(cfg))
     n, replications = cfg.n, cfg.replications
     q = max(pop.rates) / min(pop.rates)
-    h_val = h_of_q(q, n)
+    try:
+        h_val = h_of_q(q, n)
+    except DomainError as exc:
+        raise ConfigError(f"scales: {exc}") from exc
     exact = exact_risk_scaleinv_k2(c, pop.rates, n)
     est = mc_risk(spec, pop, replications, rng, workers=cfg.workers)
     if cfg.output_format == "json":
@@ -481,7 +487,8 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
 _COMMANDS = {
     "risk-table": (cmd_risk_table, "Monte Carlo risk table on a scale grid", (),
                    "n k reps seed format config out workers scales estimators alpha h_count"),
-    "bounds": (cmd_bounds, "admissibility and minimax constants", (), "n k format config out"),
+    "bounds": (cmd_bounds, "admissibility and minimax constants for k = 2", (),
+               "n format config out"),
     "dominance": (cmd_dominance, "paired comparison of two estimators", (
         ("estimator_a", dict(help="first estimator token")),
         ("estimator_b", dict(help="second estimator token")),

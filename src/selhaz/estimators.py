@@ -24,6 +24,10 @@ with Y_(2) the smaller sum. As the rate ratio q grows, Y_(2) shrinks
 like 1/q, so E[Y_(2)^(-1/2)] and with it the risk grow like sqrt(q) for
 every alpha > 0, while the risk of (n-1)/Y_J stays below its minimax
 value psi(n) - ln(n-1). This form does not improve on c/Y_J uniformly.
+
+The selection rule and every estimate are defined once, vectorized over
+rows of sums, in _estimates. estimate() is its checked public form, and
+the Monte Carlo engine in risk scores its output directly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import PopulationSet, SelectionOutcome, _check_n, geometric_mean_stat
+import numpy as np
+
+from .model import PopulationSet, _check_n
 from .numerics import DomainError, reg_inc_beta
 
 
@@ -171,16 +177,54 @@ def _check_c(c: float) -> None:
         raise DomainError(f"estimator constant c must be positive and finite, got {c}")
 
 
-def evaluate(spec: EstimatorSpec, outcome: SelectionOutcome, pop: PopulationSet) -> float:
-    """Estimate sigma_J for one selection outcome. Always positive."""
-    if spec.kind is EstimatorKind.SCALE_INVERSE:
-        return spec.c / outcome.y_selected
-    validate_improved(spec, pop.n, pop.k).raise_if_invalid(
-        f"improved spec invalid for n={pop.n}, k={pop.k}"
-    )
-    x = geometric_mean_stat(outcome.sums, spec.h_count)
-    h = spec.h_count
-    return spec.c / outcome.y_selected + spec.alpha * (pop.n * h - 1.0) / (h * x)
+def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every spec's estimate of sigma_J on each row of sums, and J per row.
+
+    The one definition of the selection rule and of each estimate. sums has
+    shape (rows, k); the result is a (len(specs), rows) array of estimates
+    and the selected 0-based index of each row. The largest sum is
+    selected, ties going to the lowest index: a tie is a probability-zero
+    event for continuous sums, but the rule must still be deterministic.
+    The geometric mean X of the h largest sums is computed once per
+    distinct h_count. No input checks; estimate() is the checked entry.
+    """
+    jj = np.argmax(sums, axis=1)
+    yj = sums[np.arange(sums.shape[0]), jj]
+    log_desc = None
+    h_times_x = {}
+    out = np.empty((len(specs), sums.shape[0]))
+    for row, spec in zip(out, specs):
+        np.divide(spec.c, yj, out=row)
+        if spec.kind is EstimatorKind.IMPROVED:
+            h = spec.h_count
+            if h not in h_times_x:
+                if log_desc is None:
+                    # The log of the sorted array, not of a reversed slice:
+                    # numpy takes another log loop for some strided views,
+                    # and which one can depend on the number of rows.
+                    log_desc = np.log(np.sort(sums, axis=1))[:, ::-1]
+                h_times_x[h] = h * np.exp(np.mean(log_desc[:, :h], axis=1))
+            row += spec.alpha * (n * h - 1.0) / h_times_x[h]
+    return out, jj
+
+
+def estimate(spec: EstimatorSpec, pop: PopulationSet, sums) -> np.ndarray:
+    """The spec's estimate of sigma_J on each row of sums. Always positive.
+
+    sums has shape (rows, k) for the k populations of pop, every entry
+    finite and positive; the result has one estimate per row.
+    """
+    if spec.kind is EstimatorKind.IMPROVED:
+        validate_improved(spec, pop.n, pop.k).raise_if_invalid(
+            f"improved spec invalid for n={pop.n}, k={pop.k}"
+        )
+    sums = np.asarray(sums, dtype=np.float64)
+    if sums.ndim != 2 or sums.shape[1] != pop.k:
+        raise DomainError(f"sums must have shape (rows, {pop.k}), got {sums.shape}")
+    bad = ~((sums > 0) & np.isfinite(sums))
+    if bad.any():
+        raise DomainError(f"sums must be finite and positive, got {sums[bad][0]}")
+    return _estimates((spec,), pop.n, sums)[0][0]
 
 
 def admissible_range(n: int) -> AdmissibleRange:
@@ -201,8 +245,7 @@ def classify_c(n: int, c: float) -> Classification:
     interval endpoint nearest to c.
     """
     _check_n(n)
-    if not (c > 0):
-        raise DomainError(f"estimator constant c must be positive, got {c}")
+    _check_c(c)
     rng = admissible_range(n)
     if c < rng.c_lower:
         return Classification(Admissibility.INADMISSIBLE_LOW, rng.c_lower)

@@ -1,10 +1,10 @@
-"""Exponential populations, reproducible sampling, and the selection rule.
+"""Exponential populations and reproducible sampling of their sums.
 
 The experiment: k independent exponential populations with hazard rates
 sigma_1..sigma_k, a sample of size n from each, sufficient sums
 Y_i = sum_j Y_ij (gamma distributed with integer shape n and rate sigma_i).
-The natural rule selects the population with the largest sum; the selected
-hazard sigma_J is the estimation target downstream.
+Selecting the largest sum and estimating the selected hazard sigma_J from
+these sums is the estimators module's work.
 
 Sampling is counter based. Every uniform is a hash of
 (seed, stream_id, replication, population, observation), so a replication's
@@ -124,20 +124,6 @@ class PopulationSet:
         return len(self.rates)
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Result of applying the largest-sum rule to one replication.
-
-    selected_index is 0-based; the selected population is
-    rates[selected_index] of the generating PopulationSet.
-    """
-
-    sums: tuple[float, ...]
-    selected_index: int
-    y_selected: float
-    sigma_selected: float
-
-
 def _sum_blocks(
     n: int, rates: np.ndarray, rng: RngSpec, rep_start: int, count: int
 ) -> np.ndarray:
@@ -193,40 +179,3 @@ def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float
         raise DomainError(f"replication must be a nonnegative integer, got {replication}")
     block = _sum_blocks(pop.n, np.asarray(pop.rates), rng, int(replication), 1)
     return tuple(float(v) for v in block[0])
-
-
-def select(pop: PopulationSet, sums) -> SelectionOutcome:
-    """Apply the natural selection rule: pick the largest sum.
-
-    Ties go to the lowest index. A tie is a probability-zero event for
-    continuous sums, but the rule must still be deterministic.
-    """
-    sums = tuple(float(s) for s in sums)
-    if len(sums) != pop.k:
-        raise DomainError(f"expected {pop.k} sums, got {len(sums)}")
-    for s in sums:
-        if not (s > 0) or not np.isfinite(s):
-            raise DomainError(f"sums must be finite and positive, got {s}")
-    j = int(np.argmax(sums))
-    return SelectionOutcome(
-        sums=sums,
-        selected_index=j,
-        y_selected=sums[j],
-        sigma_selected=pop.rates[j],
-    )
-
-
-def geometric_mean_stat(sums, h: int) -> float:
-    """Geometric mean of the h largest sums.
-
-    With h equal to the number of populations this is the geometric mean
-    of all sums, the correction statistic used by the improved estimators.
-    """
-    sums = tuple(float(s) for s in sums)
-    if not float(h).is_integer() or not (2 <= h <= len(sums)):
-        raise DomainError(f"h must be an integer in [2, {len(sums)}], got {h}")
-    for s in sums:
-        if not (s > 0) or not np.isfinite(s):
-            raise DomainError(f"sums must be finite and positive, got {s}")
-    top = sorted(sums, reverse=True)[: int(h)]
-    return float(np.exp(np.mean(np.log(top))))

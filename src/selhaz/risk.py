@@ -2,6 +2,8 @@
 
 The loss is L(sigma_J, d) = d/sigma_J - ln(d/sigma_J) - 1: nonnegative,
 zero only at d = sigma_J, and harder on overestimation than underestimation.
+_entropy_losses is its one definition; entropy_loss and every Monte Carlo
+risk go through it.
 
 Closed forms implemented here, all for the selected-hazard problem:
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorKind, EstimatorSpec, _check_c, validate_improved
+from .estimators import EstimatorKind, EstimatorSpec, _check_c, _estimates, validate_improved
 from .model import PopulationSet, RngSpec, _check_n, _sum_blocks
 from .numerics import DomainError, digamma, reg_inc_beta
 
@@ -87,47 +89,37 @@ class BayesPrior:
             )
 
 
+def _entropy_losses(x: np.ndarray) -> np.ndarray:
+    """x - ln x - 1 in place, x an array of estimates over the true rate.
+
+    The one definition of the loss. Mathematically >= 0, and with numpy's
+    log no rounding made it negative at the 4e5 doubles within 2e5 ulp of
+    x = 1 or at 1e7 uniform points in [0.999, 1.001].
+    """
+    tmp = np.log(x)
+    x -= tmp
+    x -= 1.0
+    return x
+
+
 def entropy_loss(d: float, sigma_selected: float) -> float:
     """d/sigma - ln(d/sigma) - 1; zero exactly when d equals sigma."""
     if not (d > 0):
         raise DomainError(f"estimate d must be positive, got {d}")
     if not (sigma_selected > 0):
         raise DomainError(f"sigma_selected must be positive, got {sigma_selected}")
-    x = d / sigma_selected
-    # Mathematically >= 0; the max() only strips rounding noise near x = 1.
-    return max(0.0, x - math.log(x) - 1.0)
+    return float(_entropy_losses(np.array([d / sigma_selected]))[0])
 
 
 def _losses_for_sums(specs, pop: PopulationSet, sums: np.ndarray) -> np.ndarray:
     """Entropy losses of every spec on the same sums, shape (len(specs), rows).
 
-    Vectorized mirror of estimators.evaluate followed by entropy_loss. Must
-    produce exactly what the scalar route produces; a unit test holds the
-    two routes together. The selection is made once, and the geometric
-    mean once per distinct h_count.
+    The estimates of _estimates over the selected rates, scored by
+    _entropy_losses.
     """
-    jj = np.argmax(sums, axis=1)
-    yj = sums[np.arange(sums.shape[0]), jj]
-    sj = np.asarray(pop.rates)[jj]
-    desc = None
-    h_times_x = {}
-    out = np.empty((len(specs), sums.shape[0]))
-    tmp = np.empty(sums.shape[0])
-    for row, spec in zip(out, specs):
-        np.divide(spec.c, yj, out=row)
-        if spec.kind is EstimatorKind.IMPROVED:
-            h = spec.h_count
-            if h not in h_times_x:
-                if desc is None:
-                    desc = np.sort(sums, axis=1)[:, ::-1]
-                h_times_x[h] = h * np.exp(np.mean(np.log(desc[:, :h]), axis=1))
-            np.divide(spec.alpha * (pop.n * h - 1.0), h_times_x[h], out=tmp)
-            row += tmp
-        row /= sj
-        np.log(row, out=tmp)
-        row -= tmp
-        row -= 1.0
-    return out
+    estimates, jj = _estimates(specs, pop.n, sums)
+    estimates /= np.asarray(pop.rates)[jj]
+    return _entropy_losses(estimates)
 
 
 def _blocks(replications: int) -> list[tuple[int, int]]:
@@ -259,8 +251,7 @@ def mc_risk_component(
     _check_c(c)
 
     def score(sums: np.ndarray) -> np.ndarray:
-        ratio = (c / sums[:, 0]) / rate
-        return ratio - np.log(ratio) - 1.0
+        return _entropy_losses((c / sums[:, 0]) / rate)
 
     losses = _block_loop(int(n), (rate,), replications, rng, workers, score)
     return _estimate_from_losses(losses, rng.seed)
@@ -288,8 +279,8 @@ def h_of_q(q: float, n: int) -> float:
     q = 10^6.
     """
     _check_n(n)
-    if math.isnan(q) or not (q >= 1.0):
-        raise DomainError(f"rate ratio q must be >= 1, got {q}")
+    if not (1.0 <= q < math.inf):
+        raise DomainError(f"rate ratio q must be finite and >= 1, got {q}")
     upper = reg_inc_beta(q / (1.0 + q), n, n - 1)
     lower = reg_inc_beta(1.0 / (1.0 + q), n, n - 1)
     return (upper + lower) / (n - 1.0)

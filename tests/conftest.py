@@ -1,7 +1,8 @@
 """Shared test oracles and the acceptance-criteria summary hook.
 
 Oracles here are computed independently of the library code under test:
-exact rational arithmetic where possible, classical series otherwise.
+exact rational arithmetic where possible, classical series or plain-float
+transcriptions of the paper's formulas otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +43,34 @@ def inc_beta_binomial_oracle(x: Fraction, a: int, b: int) -> Fraction:
     return sum(
         Fraction(math.comb(m, j)) * x**j * (1 - x) ** (m - j) for j in range(a, m + 1)
     )
+
+
+def estimate_oracle(spec, n: int, sums) -> float:
+    """The paper's estimate of sigma_J on one replication's sums.
+
+    c/Y_J with Y_J the largest sum, plus alpha (n h - 1)/(h X) for an
+    improved spec, X the geometric mean of the h largest sums. Plain
+    Python floats and math, so it shares no code with the numpy kernel.
+    """
+    top = sorted((float(s) for s in sums), reverse=True)
+    value = spec.c / top[0]
+    if spec.alpha is not None:
+        h = spec.h_count
+        x = math.exp(sum(math.log(s) for s in top[:h]) / h)
+        value += spec.alpha * (n * h - 1.0) / (h * x)
+    return value
+
+
+def selected_index_oracle(sums) -> int:
+    """J, the first index of the largest sum: ties go to the lowest."""
+    sums = [float(s) for s in sums]
+    return sums.index(max(sums))
+
+
+def entropy_loss_oracle(d: float, sigma: float) -> float:
+    """x - ln x - 1 at x = d / sigma, in plain floats."""
+    x = float(d) / sigma
+    return x - math.log(x) - 1.0
 
 
 def h_tail_gap_oracle(q: Fraction | float, n: int) -> Fraction:

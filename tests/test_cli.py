@@ -200,16 +200,25 @@ class TestBounds:
         assert payload["c_lower"] == 7.0
         assert payload["c_upper"] > 7.0
         assert payload["minimax_value"] == pytest.approx(0.0697313, abs=5e-8)
-        assert [row["c_label"] for row in payload["sup_risk_bounds"]] == [
-            "n-2",
-            "n-1",
-            "n",
-        ]
+        assert [row["c_label"] for row in payload["sup_risk_bounds"]] == ["n-1", "n"]
 
     def test_rejects_n1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "1")
         assert code == 1
         assert "n >= 2" in err
+
+    def test_k_other_than_2_rejected(self, capsys, tmp_path):
+        # Every bounds quantity is a k = 2 result: no --k flag, and a k from
+        # a config file fails naming k.
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "5", "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+        path = tmp_path / "k3.cfg"
+        path.write_text("n = 5\nk = 3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "bounds", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: k: bounds prints k = 2 results only, got k=3\n"
 
 
 class TestDominance:
@@ -422,6 +431,12 @@ class TestOneConfigPath:
         assert code == 1 and out == ""
         assert "'cinf'" in err and "c must be positive and finite" in err
 
+    def test_exact_overflowing_rate_ratio_names_scales(self, capsys):
+        # Both scales and their rates are finite, but the ratio overflows.
+        code, out, err = run_cli(capsys, "exact", "--c", "4", "--scales", "1e-200,1e200")
+        assert code == 1 and out == ""
+        assert err == "error: scales: rate ratio q must be finite and >= 1, got inf\n"
+
     def test_exact_infinite_constant_rejected(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--c", "inf", "--scales", "1,1")
         assert code == 1 and out == ""
@@ -476,15 +491,11 @@ class TestGoldenBytes:
             ),
             (
                 ("bounds", "--n", "5"),
-                "4ffd132355cb168c42f3a7dacc5344988b0ae51e47621d337820b473c2b60614",
+                "fc9eb884b84cdc63ae0b79e9e86d326bf7f1dd4c03638d2ff698f4cda418ad39",
             ),
             (
                 ("bounds", "--n", "8", "--format", "json"),
-                "526e9a1dd8e4137b1b07716e08602bd4ad10d36c347d584220ec69f69e13ebe4",
-            ),
-            (
-                ("bounds", "--n", "5", "--k", "3"),
-                "e2fdced5a945a4de093bc8e46d8fde195dd46b1f80d33d2a5247f437ac6fe166",
+                "4b98b89e5f79fe1d34dc3ffe9f165214d1b3469ea32c9116095dfbfee418071a",
             ),
             (
                 ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
@@ -516,7 +527,7 @@ class TestGoldenBytes:
         ],
         ids=[
             "risk-table-default", "plot-data", "dominance-k5", "bounds-n5", "bounds-n8-json",
-            "bounds-n5-k3", "exact-text", "exact-json",
+            "exact-text", "exact-json",
             "risk-table-markdown", "risk-table-json", "dominance-markdown", "dominance-json",
         ],
     )
@@ -588,4 +599,4 @@ class TestReadmeFlagTable:
     def test_rows_match_the_parser(self):
         readme, parser = self.readme_rows(), self.parser_flags()
         assert readme == parser
-        assert sum(len(flags) for flags in parser.values()) == 49
+        assert sum(len(flags) for flags in parser.values()) == 48

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from selhaz.estimators import (
     admissible_range,
     alpha_upper_bound,
     classify_c,
-    evaluate,
+    estimate,
     ml,
     ml_improved,
     n1,
@@ -29,7 +30,7 @@ from selhaz.estimators import (
     n2_improved,
     validate_improved,
 )
-from selhaz.model import PopulationSet, SelectionOutcome, select
+from selhaz.model import PopulationSet, RngSpec, _sum_blocks
 from selhaz.numerics import DomainError
 from conftest import inc_beta_half_oracle
 
@@ -111,24 +112,37 @@ class TestEstimatorSpecValidation:
             EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=alpha, h_count=2)
 
 
+def one_row(spec: EstimatorSpec, pop: PopulationSet, sums) -> float:
+    """estimate() on a single replication's sums."""
+    (value,) = estimate(spec, pop, [sums])
+    return float(value)
+
+
 class TestEvaluate:
+    """estimate(): the checked, public form of the estimator kernel."""
+
     def test_scale_inverse_is_division(self):
-        outcome = select(POP52, (2.0, 1.0))
         spec = EstimatorSpec(EstimatorKind.SCALE_INVERSE, 4.0)
-        assert evaluate(spec, outcome, POP52) == 2.0
+        assert one_row(spec, POP52, (2.0, 1.0)) == 2.0
 
     def test_improved_closed_form_by_hand(self):
-        # n=5, k=2, c=4, alpha=3/11, sums (2, 1): Y_J = 2, X = sqrt(2),
-        # estimate = 2 + (3/11) * 9 / (2 sqrt(2)).
-        outcome = select(POP52, (2.0, 1.0))
-        spec = n2_improved(5, 2, alpha=3.0 / 11.0)
-        expected = 2.0 + (3.0 / 11.0) * 9.0 / (2.0 * math.sqrt(2.0))
-        assert evaluate(spec, outcome, POP52) == pytest.approx(expected, rel=1e-14)
+        cases = [
+            # n=5, k=2, c=4, alpha=3/11, sums (2, 1): Y_J = 2, X = sqrt(2),
+            # estimate = 2 + (3/11) * 9 / (2 sqrt(2)).
+            (POP52, (2.0, 1.0), n2_improved(5, 2, alpha=3.0 / 11.0),
+             2.0 + (3.0 / 11.0) * 9.0 / (2.0 * math.sqrt(2.0))),
+            # n=5, k=3, h=2, sums (8, 2, 4): Y_J = 8 and X = sqrt(8 * 4), the
+            # geometric mean of the two largest; estimate = 4/8 + 0.1 * 9 / (2 X).
+            (PopulationSet(n=5, rates=(1.0, 2.0, 3.0)), (8.0, 2.0, 4.0),
+             n2_improved(5, 3, alpha=0.1, h_count=2),
+             0.5 + 0.1 * 9.0 / (2.0 * math.sqrt(32.0))),
+        ]
+        for pop, sums, spec, expected in cases:
+            assert one_row(spec, pop, sums) == pytest.approx(expected, rel=1e-14)
 
     def test_vanishing_alpha_recovers_scale_inverse(self):
-        outcome = select(POP52, (3.0, 1.5))
-        base = evaluate(n2(5), outcome, POP52)
-        small = evaluate(n2_improved(5, 2, alpha=1e-14), outcome, POP52)
+        base = one_row(n2(5), POP52, (3.0, 1.5))
+        small = one_row(n2_improved(5, 2, alpha=1e-14), POP52, (3.0, 1.5))
         assert small == pytest.approx(base, abs=1e-12)
 
     @given(
@@ -137,26 +151,36 @@ class TestEvaluate:
     )
     @settings(max_examples=100)
     def test_correction_strictly_positive(self, s1, s2):
-        outcome = select(POP52, (s1, s2))
-        assert evaluate(n2_improved(5, 2), outcome, POP52) > evaluate(
-            n2(5), outcome, POP52
-        )
+        sums = (s1, s2)
+        assert one_row(n2_improved(5, 2), POP52, sums) > one_row(n2(5), POP52, sums)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=100)
     def test_scale_inverse_equivariance(self, lam):
-        base = select(POP52, (3.0, 1.5))
-        scaled = select(POP52, (3.0 * lam, 1.5 * lam))
         spec = n2(5)
-        assert evaluate(spec, scaled, POP52) == pytest.approx(
-            evaluate(spec, base, POP52) / lam, rel=1e-12
+        assert one_row(spec, POP52, (3.0 * lam, 1.5 * lam)) == pytest.approx(
+            one_row(spec, POP52, (3.0, 1.5)) / lam, rel=1e-12
         )
 
     def test_rejects_invalid_improved_spec(self):
         bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.9, h_count=2)
-        outcome = select(POP52, (2.0, 1.0))
-        with pytest.raises(DomainError):
-            evaluate(bad, outcome, POP52)
+        with pytest.raises(DomainError, match="improved spec invalid for n=5, k=2"):
+            estimate(bad, POP52, [(2.0, 1.0)])
+
+    def test_rows_match_one_row_calls_to_the_bit(self):
+        # A row's estimate must not depend on the rows computed with it,
+        # or a replication's loss would depend on the size of its block.
+        # numpy's log of a reversed slice of the sorted sums can take a loop
+        # whose last bit, for a few rows in a thousand, moves with the
+        # number of rows; these draws contain such rows.
+        pop = PopulationSet(n=4, rates=(1.0, 2.0, 1.25, 3.0, 0.5))
+        sums = _sum_blocks(pop.n, np.asarray(pop.rates), RngSpec(seed=1), 0, 2048)
+        specs = [n2(4)] + [n2_improved(4, 5, h_count=h) for h in range(2, 6)]
+        for spec in specs:
+            whole = estimate(spec, pop, sums)
+            assert whole.shape == (len(sums),)
+            rows = [estimate(spec, pop, sums[i : i + 1])[0] for i in range(len(sums))]
+            assert whole.tobytes() == np.asarray(rows).tobytes(), spec.label()
 
 
 class TestAdmissibleRange:
@@ -221,6 +245,11 @@ class TestClassifyC:
             classify_c(5, 0.0)
         with pytest.raises(DomainError):
             classify_c(1, 1.0)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_nonfinite_c(self, c):
+        with pytest.raises(DomainError, match="c must be positive and finite"):
+            classify_c(5, c)
 
 
 class TestAlphaUpperBound:

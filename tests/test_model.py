@@ -1,4 +1,8 @@
-"""Sampling determinism, distributional correctness, and the selection rule."""
+"""Sampling determinism, distributional correctness, and the selection rule.
+
+The selection rule and the geometric mean live in the estimator kernel;
+they are checked here through estimate() and the loss kernel.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selhaz.estimators import EstimatorKind, EstimatorSpec, _estimates, estimate, n2
 from selhaz.model import (
     PopulationSet,
     RngSpec,
-    SelectionOutcome,
     _CHUNK_DRAWS,
     _sum_blocks,
     draw_sums,
-    geometric_mean_stat,
-    select,
 )
 from selhaz.numerics import DomainError, gamma_cdf
+from selhaz.risk import _losses_for_sums, entropy_loss
 
 POP = PopulationSet(n=5, rates=(1.0, 2.0))
 RNG = RngSpec(seed=1, stream_id=0)
@@ -131,31 +134,46 @@ class TestDrawSums:
             draw_sums(POP, RNG, -1)
 
 
+def selected(pop: PopulationSet, sums) -> int:
+    """The kernel's selected index for one replication's sums."""
+    return int(_estimates((n2(pop.n),), pop.n, np.asarray([sums], dtype=np.float64))[1][0])
+
+
+def kernel_loss(pop: PopulationSet, sums) -> float:
+    """The loss kernel's N2 loss on one replication's sums."""
+    return float(_losses_for_sums((n2(pop.n),), pop, np.asarray([sums], dtype=np.float64))[0, 0])
+
+
 class TestSelect:
+    """The natural rule: the largest sum is selected, ties to the lowest index."""
+
     def test_argmax(self):
-        out = select(POP, (3.2, 5.1))
-        assert out.selected_index == 1
-        assert out.y_selected == 5.1
-        assert out.sigma_selected == 2.0
+        assert selected(POP, (3.2, 5.1)) == 1
+        assert estimate(n2(5), POP, [(3.2, 5.1)])[0] == 4.0 / 5.1
+        assert kernel_loss(POP, (3.2, 5.1)) == entropy_loss(4.0 / 5.1, 2.0)
 
     def test_tie_breaks_low(self):
-        out = select(POP, (7.0, 7.0))
-        assert out.selected_index == 0
+        assert selected(POP, (7.0, 7.0)) == 0
+        # The rates differ, so the loss shows which one was used: rates[0].
+        loss = kernel_loss(POP, (7.0, 7.0))
+        assert loss == entropy_loss(4.0 / 7.0, 1.0)
+        assert loss != entropy_loss(4.0 / 7.0, 2.0)
 
     def test_three_populations(self):
         pop = PopulationSet(n=5, rates=(5.0, 6.0, 7.0))
-        out = select(pop, (1.0, 9.0, 4.0))
-        assert out.selected_index == 1
-        assert out.sigma_selected == 6.0
+        assert selected(pop, (1.0, 9.0, 4.0)) == 1
+        assert kernel_loss(pop, (1.0, 9.0, 4.0)) == entropy_loss(4.0 / 9.0, 6.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            select(POP, (1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match=r"shape \(rows, 2\)"):
+            estimate(n2(5), POP, [(1.0, 2.0, 3.0)])
+        with pytest.raises(DomainError, match=r"shape \(rows, 2\)"):
+            estimate(n2(5), POP, (1.0, 2.0))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_sums(self, bad):
-        with pytest.raises(DomainError):
-            select(POP, (1.0, bad))
+        with pytest.raises(DomainError, match="finite and positive"):
+            estimate(n2(5), POP, [(1.0, 2.0), (1.0, bad)])
 
     @given(
         st.lists(
@@ -172,9 +190,7 @@ class TestSelect:
         if runner_up is not None and runner_up > best * (1.0 - 1e-9):
             return
         pop = PopulationSet(n=2, rates=tuple(1.0 for _ in sums))
-        base = select(pop, sums).selected_index
-        scaled = select(pop, [lam * s for s in sums]).selected_index
-        assert base == scaled
+        assert selected(pop, sums) == selected(pop, [lam * s for s in sums])
 
     def test_sigma_matches_rates_entry(self):
         rng = np.random.default_rng(11)
@@ -184,48 +200,58 @@ class TestSelect:
                 n=3, rates=tuple(float(r) for r in rng.uniform(0.1, 5.0, size=k))
             )
             sums = tuple(float(s) for s in rng.uniform(0.1, 50.0, size=k))
-            out = select(pop, sums)
-            assert out.sigma_selected == pop.rates[out.selected_index]
-            assert out.y_selected == max(sums)
-            assert out.y_selected == out.sums[out.selected_index]
+            j = sums.index(max(sums))
+            assert selected(pop, sums) == j
+            assert estimate(n2(3), pop, [sums])[0] == 2.0 / max(sums)
+            assert kernel_loss(pop, sums) == entropy_loss(2.0 / max(sums), pop.rates[j])
+
+
+def improved(h: int) -> EstimatorSpec:
+    """4/Y_J + 0.1 (5h - 1)/(h X) at n = 5, valid for every h in [2, k]."""
+    return EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=h)
+
+
+def improved_by_hand(sums, h: int, x: float) -> float:
+    """The same estimate with the geometric mean X given."""
+    return 4.0 / max(sums) + 0.1 * (5 * h - 1.0) / (h * x)
 
 
 class TestGeometricMeanStat:
+    """X, the geometric mean of the h largest sums, as the kernel uses it."""
+
     def test_pair(self):
-        assert geometric_mean_stat((4.0, 9.0), 2) == pytest.approx(6.0, rel=1e-14)
+        assert estimate(improved(2), POP, [(4.0, 9.0)])[0] == pytest.approx(
+            improved_by_hand((4.0, 9.0), 2, 6.0), rel=1e-14
+        )
 
     def test_identical(self):
-        assert geometric_mean_stat((1.0, 1.0, 1.0), 3) == pytest.approx(1.0, rel=1e-14)
-
-    def test_uses_largest(self):
-        assert geometric_mean_stat((8.0, 2.0, 4.0), 2) == pytest.approx(
-            math.sqrt(32.0), rel=1e-14
+        pop = PopulationSet(n=5, rates=(1.0, 1.0, 1.0))
+        assert estimate(improved(3), pop, [(1.0, 1.0, 1.0)])[0] == pytest.approx(
+            improved_by_hand((1.0, 1.0, 1.0), 3, 1.0), rel=1e-14
         )
 
     @pytest.mark.parametrize("h", [1, 4, 0, -2])
     def test_h_range(self, h):
-        with pytest.raises(DomainError):
-            geometric_mean_stat((1.0, 2.0, 3.0), h)
+        pop = PopulationSet(n=5, rates=(1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match="h_count"):
+            estimate(improved(h), pop, [(1.0, 2.0, 3.0)])
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            geometric_mean_stat((1.0, 0.0), 2)
+        with pytest.raises(DomainError, match="finite and positive"):
+            estimate(improved(2), POP, [(1.0, 0.0)])
 
     @given(
         st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=5)
     )
     @settings(max_examples=100)
     def test_between_min_and_max(self, sums):
-        value = geometric_mean_stat(sums, len(sums))
-        assert min(sums) * (1.0 - 1e-12) <= value <= max(sums) * (1.0 + 1e-12)
-
-
-class TestSelectionOutcomeShape:
-    def test_fields(self):
-        out = SelectionOutcome(
-            sums=(1.0, 3.0), selected_index=1, y_selected=3.0, sigma_selected=0.5
-        )
-        assert out.sums[out.selected_index] == out.y_selected
+        # X between the smallest and largest sum puts the correction
+        # between its values at those two ends.
+        h = len(sums)
+        pop = PopulationSet(n=5, rates=(1.0,) * h)
+        value = estimate(improved(h), pop, [sums])[0]
+        low, high = (improved_by_hand(sums, h, x) for x in (max(sums), min(sums)))
+        assert low * (1.0 - 1e-12) <= value <= high * (1.0 + 1e-12)
 
 
 class TestCounterRange:

@@ -1,8 +1,9 @@
 """Monte Carlo engine, exact two-population risk, and closed-form risk values.
 
-The vectorized loss kernel must agree with the scalar evaluate() path to
-floating-point roundoff: both routes are exercised on the same simulated
-sums and compared elementwise. Closed-form values use the harmonic-sum
+The vectorized loss kernel must agree with plain-float transcriptions of
+the paper's formulas (the estimate, selection and loss oracles in
+conftest) to floating-point roundoff, elementwise on the same simulated
+sums. Closed-form values use the harmonic-sum
 digamma oracle from conftest; the exact k=2 risk is held to a 40-digit
 mpmath quadrature (skipped when mpmath is absent).
 """
@@ -21,15 +22,15 @@ from hypothesis import strategies as st
 from selhaz.estimators import (
     EstimatorKind,
     EstimatorSpec,
+    _estimates,
     admissible_range,
-    evaluate,
     ml,
     ml_improved,
     n1,
     n2,
     n2_improved,
 )
-from selhaz.model import PopulationSet, RngSpec, _sum_blocks, draw_sums, select
+from selhaz.model import PopulationSet, RngSpec, _sum_blocks, draw_sums
 from selhaz.numerics import DomainError, digamma
 from selhaz.risk import (
     BayesPrior,
@@ -48,7 +49,14 @@ from selhaz.risk import (
     mc_risks,
     sup_risk_scaleinv,
 )
-from conftest import digamma_int_oracle, euler_gamma_oracle, expected_log_selected_oracle
+from conftest import (
+    digamma_int_oracle,
+    euler_gamma_oracle,
+    entropy_loss_oracle,
+    estimate_oracle,
+    expected_log_selected_oracle,
+    selected_index_oracle,
+)
 
 POP = PopulationSet(n=5, rates=(1.0, 2.0))
 RNG = RngSpec(seed=20260819, stream_id=0)
@@ -96,8 +104,27 @@ class TestEntropyLoss:
             entropy_loss(1.0, -1.0)
 
 
+def assert_kernel_matches_oracles(specs, pop: PopulationSet, sums: np.ndarray) -> None:
+    """Each estimate against estimate_oracle, the selection against
+    selected_index_oracle, and each loss against entropy_loss_oracle at the
+    kernel's estimate, all elementwise at rtol 1e-13. Losses are not held
+    to the oracle estimate: near x = 1 a one-ulp change in an estimate
+    moves x - ln x - 1 by more than 1e-13 relative."""
+    rows = [[float(v) for v in row] for row in sums]
+    picks = [selected_index_oracle(row) for row in rows]
+    estimates, jj = _estimates(specs, pop.n, sums)
+    losses = _losses_for_sums(specs, pop, sums)
+    assert losses.shape == estimates.shape == (len(specs), len(rows))
+    assert jj.tolist() == picks
+    for spec, est, loss in zip(specs, estimates, losses):
+        want = [estimate_oracle(spec, pop.n, row) for row in rows]
+        np.testing.assert_allclose(est, want, rtol=1e-13, atol=0.0)
+        want = [entropy_loss_oracle(d, pop.rates[j]) for d, j in zip(est, picks)]
+        np.testing.assert_allclose(loss, want, rtol=1e-13, atol=0.0)
+
+
 class TestLossKernelMatchesEvaluate:
-    """Lock the vectorized kernel to the scalar estimator path."""
+    """Lock the vectorized kernel to the independent oracles in conftest."""
 
     @pytest.mark.parametrize(
         "spec_factory",
@@ -107,14 +134,7 @@ class TestLossKernelMatchesEvaluate:
     def test_elementwise_agreement(self, spec_factory):
         spec = spec_factory()
         sums = _sum_blocks(POP.n, np.asarray(POP.rates), RNG, 0, 512)
-        vectorized = _losses_for_sums((spec,), POP, sums)[0]
-        scalar = np.empty(512)
-        for i in range(512):
-            outcome = select(POP, tuple(sums[i]))
-            scalar[i] = entropy_loss(
-                evaluate(spec, outcome, POP), outcome.sigma_selected
-            )
-        np.testing.assert_allclose(vectorized, scalar, rtol=1e-13, atol=0.0)
+        assert_kernel_matches_oracles((spec,), POP, sums)
 
 
 class TestLossKernelSharedWork:
@@ -129,16 +149,8 @@ class TestLossKernelSharedWork:
         specs = (h3, ml_improved(4, 5), h3, n2(4))
         sums = _sum_blocks(pop.n, np.asarray(pop.rates), RNG, 0, 512)
         losses = _losses_for_sums(specs, pop, sums)
-        assert losses.shape == (len(specs), 512)
         np.testing.assert_array_equal(losses[0], losses[2])
-        for spec, row in zip(specs, losses):
-            scalar = np.empty(512)
-            for i in range(512):
-                outcome = select(pop, tuple(sums[i]))
-                scalar[i] = entropy_loss(
-                    evaluate(spec, outcome, pop), outcome.sigma_selected
-                )
-            np.testing.assert_allclose(row, scalar, rtol=1e-13, atol=0.0)
+        assert_kernel_matches_oracles(specs, pop, sums)
 
     def test_identical_improved_specs_give_exact_zero(self):
         spec = n2_improved(4, 5, h_count=3)
@@ -272,6 +284,15 @@ class TestHOfQ:
             h_of_q(0.0, 5)
         with pytest.raises(DomainError):
             h_of_q(1.0, 1)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_nonfinite_ratio_names_q(self, q):
+        with pytest.raises(DomainError, match="rate ratio q must be finite"):
+            h_of_q(q, 5)
+
+    def test_exact_risk_with_overflowing_ratio_names_q(self):
+        with pytest.raises(DomainError, match="rate ratio q must be finite"):
+            exact_risk_scaleinv_k2(4.0, (1e-200, 1e200), 5)
 
 
 class TestExactRisk:
