@@ -230,6 +230,13 @@ class TestGeometricMeanStat:
             improved_by_hand((1.0, 1.0, 1.0), 3, 1.0), rel=1e-14
         )
 
+    def test_uses_largest(self):
+        # h=2 of sums (8, 2, 4): X = sqrt(8 * 4), not a mean over all three.
+        pop = PopulationSet(n=5, rates=(1.0, 2.0, 3.0))
+        assert estimate(improved(2), pop, [(8.0, 2.0, 4.0)])[0] == pytest.approx(
+            improved_by_hand((8.0, 2.0, 4.0), 2, math.sqrt(32.0)), rel=1e-14
+        )
+
     @pytest.mark.parametrize("h", [1, 4, 0, -2])
     def test_h_range(self, h):
         pop = PopulationSet(n=5, rates=(1.0, 2.0, 3.0))
