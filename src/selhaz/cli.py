@@ -289,6 +289,15 @@ def _grid(cfg: ExperimentConfig):
         yield scales, pop, RngSpec(seed=cfg.seed, stream_id=row_index)
 
 
+def _at(scales, run, *args, **kwargs):
+    """run(*args, **kwargs) for one grid row. A DomainError it raises, such
+    as a risk beyond the float range, becomes a scales: error naming the row."""
+    try:
+        return run(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"scales: {','.join(f'{s:g}' for s in scales)}: {exc}") from exc
+
+
 def _render(cfg: ExperimentConfig, command: str, header, rows, verdict=None) -> str:
     """A table in cfg's format: CSV, markdown, or JSON with the run's meta.
 
@@ -326,7 +335,7 @@ def cmd_risk_table(cfg: ExperimentConfig) -> str:
     rows = []
     for scales, pop, rng in _grid(cfg):
         cells = [f"{s:g}" for s in scales]
-        for est in mc_risks(specs, pop, cfg.replications, rng, workers=cfg.workers):
+        for est in _at(scales, mc_risks, specs, pop, cfg.replications, rng, workers=cfg.workers):
             cells += [f"{est.mean:.6f}", f"{est.std_error:.6f}"]
         rows.append(cells)
     return _render(cfg, "risk-table", header, rows)
@@ -341,7 +350,9 @@ def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
     # Since se >= 0, a difference beyond 3 se is also beyond 0.
     neg_beyond = pos_beyond = False
     for scales, pop, rng in _grid(cfg):
-        cmp = mc_dominance(spec_a, spec_b, pop, cfg.replications, rng, workers=cfg.workers)
+        cmp = _at(
+            scales, mc_dominance, spec_a, spec_b, pop, cfg.replications, rng, workers=cfg.workers
+        )
         rows.append(
             [f"{s:g}" for s in scales]
             + [f"{cmp.mean_diff:.6f}", f"{cmp.std_error_diff:.6f}", str(cmp.replications)]
@@ -372,7 +383,7 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
     records = []
     for scales, pop, rng in _grid(cfg):
         ratio = scales[0] / scales[1]
-        estimates = mc_risks(specs, pop, cfg.replications, rng, workers=cfg.workers)
+        estimates = _at(scales, mc_risks, specs, pop, cfg.replications, rng, workers=cfg.workers)
         for spec, est in zip(specs, estimates):
             records.append((spec.label(), ratio, est.mean, est.std_error))
     records.sort(key=lambda rec: (rec[0], rec[1]))

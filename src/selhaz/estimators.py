@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopulationSet, _check_n
+from .model import PopulationSet, _check_n, _pairwise_sum
 from .numerics import DomainError, reg_inc_beta
 
 
@@ -177,6 +177,30 @@ def _check_c(c: float) -> None:
         raise DomainError(f"estimator constant c must be positive and finite, got {c}")
 
 
+# Up to this many populations the kernel orders each block's sums with an
+# odd-even transposition network of whole-column minimum/maximum passes.
+# The network grows like k**2 and np.sort does not, so beyond it np.sort.
+_NETWORK_MAX_K = 8
+
+
+def _ordered(cols: np.ndarray) -> np.ndarray:
+    """A new (k, rows) array: each column of cols sorted ascending."""
+    k = len(cols)
+    if k > _NETWORK_MAX_K:
+        return np.sort(cols, axis=0)
+    ordered = cols.copy()
+    low = np.empty((k // 2, cols.shape[1]))
+    # k rounds sort any input; at k = 2 the second round is empty.
+    for p in range(k if k > 2 else 1):
+        # Round p compares rows (i, i + 1) for i = p % 2, p % 2 + 2, ...
+        a, b = ordered[p % 2 : k - 1 : 2], ordered[p % 2 + 1 : k : 2]
+        t = low[: len(a)]
+        np.minimum(a, b, out=t)
+        np.maximum(a, b, out=b)
+        a[...] = t
+    return ordered
+
+
 def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every spec's estimate of sigma_J on each row of sums, and J per row.
 
@@ -187,23 +211,42 @@ def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     event for continuous sums, but the rule must still be deterministic.
     The geometric mean X of the h largest sums is computed once per
     distinct h_count. No input checks; estimate() is the checked entry.
+
+    The work runs over the k columns of sums, each a whole-block vector:
+    free for the F-ordered sampler output, one copy for C-ordered sums.
+    Selection is k - 1 passes of a strict '>', which keeps the lowest index
+    on ties. ln X is _pairwise_sum over the logs of the h largest sums,
+    largest first, divided by h: the arithmetic of np.mean on each sorted
+    row, so every bit matches a row-by-row evaluation.
     """
-    jj = np.argmax(sums, axis=1)
-    yj = sums[np.arange(sums.shape[0]), jj]
-    log_desc = None
+    cols = np.ascontiguousarray(sums.T)
+    k, rows = cols.shape
+    yj = cols[0].copy()
+    jj = np.zeros(rows, dtype=np.intp)
+    above = np.empty(rows, dtype=bool)
+    for i in range(1, k):
+        np.greater(cols[i], yj, out=above)
+        np.copyto(yj, cols[i], where=above)
+        np.copyto(jj, i, where=above)
+    hs = sorted({spec.h_count for spec in specs if spec.kind is EstimatorKind.IMPROVED})
     h_times_x = {}
-    out = np.empty((len(specs), sums.shape[0]))
+    if hs:
+        # Logs of the max(hs) largest sums, largest first.
+        top = _ordered(cols)[k - hs[-1] :]
+        log_desc = np.log(top, out=top)[::-1]
+        for h in hs:
+            # The last (largest) h may sum in place; the others need a copy.
+            terms = log_desc[:h] if h == hs[-1] else log_desc[:h].copy()
+            x = _pairwise_sum(terms)
+            x /= h
+            np.exp(x, out=x)
+            x *= h
+            h_times_x[h] = x
+    out = np.empty((len(specs), rows))
     for row, spec in zip(out, specs):
         np.divide(spec.c, yj, out=row)
         if spec.kind is EstimatorKind.IMPROVED:
             h = spec.h_count
-            if h not in h_times_x:
-                if log_desc is None:
-                    # The log of the sorted array, not of a reversed slice:
-                    # numpy takes another log loop for some strided views,
-                    # and which one can depend on the number of rows.
-                    log_desc = np.log(np.sort(sums, axis=1))[:, ::-1]
-                h_times_x[h] = h * np.exp(np.mean(log_desc[:, :h], axis=1))
             row += spec.alpha * (n * h - 1.0) / h_times_x[h]
     return out, jj
 

@@ -11,7 +11,11 @@ Sampling is counter based. Every uniform is a hash of
 draws depend only on those labels and never on how many replications some
 worker computed before it. That is what makes Monte Carlo results identical
 across serial and parallel schedules, and it is a hard contract: the counter
-layout below must not change.
+layout below must not change. The memory order in which the counters are
+hashed and summed is free, and _sum_blocks lays them out population-major
+so that the sum over the sample is a few whole-chunk vector additions.
+Those additions follow numpy's pairwise summation order (_pairwise_sum),
+so the sums have the bits of a row-wise numpy sum.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _STREAM_SALT = _U64(0xD1B54A32D192ED03)
 
-# Draws per sampler chunk: three uint64 buffers of this length (384 KiB in
+# Draws per sampler chunk: four uint64 buffers of this length (512 KiB in
 # all) serve every chunk of a block. Only speed depends on it, not the bits.
 _CHUNK_DRAWS = 16384
 
@@ -60,10 +64,11 @@ def _stream_key(seed: int, stream_id: int) -> np.uint64:
 def _uniforms(
     key: np.uint64, first: int, ramp: np.ndarray, work: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Uniforms for the counters first, first + 1, ..., len(ramp) of them.
+    """Uniforms for the counters first + d, one per entry of ramp.
 
     The hash input of counter c is key + (c + 1) * _GOLDEN mod 2**64, so
-    ramp holds i * _GOLDEN for i = 1, 2, ..., and one addition of
+    ramp holds (d + 1) * _GOLDEN for each counter's offset d from first,
+    in whatever order the caller wants the uniforms, and one addition of
     key + first * _GOLDEN gives every input. work and scratch are uint64
     buffers of ramp's length; the result is scratch viewed as float64.
     Top 53 bits, centered: values lie strictly inside (0, 1), so log(u) is
@@ -124,21 +129,76 @@ class PopulationSet:
         return len(self.rates)
 
 
+def _pairwise_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over axis 0 in numpy's pairwise order, into out (default a[0]).
+
+    The order of numpy's pairwise_sum on one row of terms, applied to
+    whole rows at once: below 8 terms a sequential sum; up to 128, eight
+    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the
+    rest added in order; above that, a split at n//2 rounded down to a
+    multiple of 8 and a sum of the two halves' sums. So the result is bit
+    for bit np.add.reduce over each column of a, except that numpy starts
+    from +0.0 and so turns a sum of only -0.0 terms into +0.0. The rows of
+    a serve as accumulators and are overwritten.
+    """
+    n, acc = len(a), a[0]
+    if out is None:
+        out = acc
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return np.add(_pairwise_sum(a[:half]), _pairwise_sum(a[half:]), out=out)
+    if n < 8:
+        tail = range(1, n)
+    else:
+        for i in range(8, n - n % 8, 8):
+            a[:8] += a[i : i + 8]
+        a[0:8:2] += a[1:8:2]
+        a[0:8:4] += a[2:8:4]
+        tail = (4, *range(n - n % 8, n))
+    for i in tail:
+        acc = np.add(acc, a[i], out=out)
+    if acc is not out:
+        out[...] = acc
+    return out
+
+
+def _ramp(n: int, k: int, m: int) -> np.ndarray:
+    """(d + 1) * _GOLDEN for the counter offsets d of m replications,
+    laid out (observation, population, replication): entry (j, i, r)
+    has d = (r * k + i) * n + j."""
+    # (d + 1) * _GOLDEN = ((r * k + i) * n + 1) * _GOLDEN + j * _GOLDEN mod
+    # 2**64, so only the (k, m) first term is multiplied out.
+    first = np.arange(m, dtype=_U64)
+    first *= _U64(k * n)
+    first = first + np.arange(1, k * n + 1, n, dtype=_U64)[:, None]
+    first *= _GOLDEN
+    steps = np.arange(n, dtype=_U64)
+    steps *= _GOLDEN
+    return (first + steps[:, None, None]).reshape(-1)
+
+
 def _sum_blocks(
     n: int, rates: np.ndarray, rng: RngSpec, rep_start: int, count: int
 ) -> np.ndarray:
     """Sums Y_i for replications [rep_start, rep_start + count), shape (count, k).
 
     Counter layout: (replication * k + population) * n + observation.
-    Frozen; see the module docstring. In row-major (count, k, n) order the
-    counters run consecutively from rep_start * k * n. A range whose last
-    counter would not fit in 64 bits is rejected: wrapping would silently
-    repeat another replication's draws.
+    Frozen; see the module docstring. The counters of the block run
+    consecutively from rep_start * k * n. A range whose last counter would
+    not fit in 64 bits is rejected: wrapping would silently repeat another
+    replication's draws.
 
     Every uniform is a pure function of its counter, so the block is drawn
-    in chunks of whole replications, about _CHUNK_DRAWS draws each, through
-    three buffers reused from chunk to chunk. Working memory is at most
-    24 * max(_CHUNK_DRAWS, k * n) bytes, whatever count is.
+    in chunks of whole replications, about _CHUNK_DRAWS draws each. A chunk
+    of m replications is hashed in (observation, population, replication)
+    memory order, so each observation j is one row of k * m draws and the
+    sum over the sample is n - 1 additions of whole rows, in numpy's
+    pairwise order. The sums go into a (k, count) array, and the result is
+    its transpose: F-ordered, one contiguous row per population. Working
+    memory is four uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries
+    (the counter ramps of the full and the short last chunk, and the hash
+    work and scratch), so at most 32 * max(_CHUNK_DRAWS, k * n) bytes beyond
+    the result, whatever count is.
     """
     k = len(rates)
     if (rep_start + count) * k * n > 2**64:
@@ -148,25 +208,25 @@ def _sum_blocks(
         )
     key = _stream_key(rng.seed, rng.stream_id)
     per_chunk = min(count, max(1, _CHUNK_DRAWS // (k * n)))
-    ramp = np.arange(1, per_chunk * k * n + 1, dtype=_U64)
-    ramp *= _GOLDEN
-    work = np.empty_like(ramp)
-    scratch = np.empty_like(ramp)
+    ramps = {}
+    work = np.empty(per_chunk * k * n, dtype=_U64)
+    scratch = np.empty_like(work)
     # log(u) / -r is -log(u) / r to the bit: IEEE division is symmetric in sign.
-    neg_rates = -rates[None, :, None]
-    out = np.empty((count, k))
+    neg_rates = -rates[:, None]
+    out = np.empty((k, count))
     for s in range(0, count, per_chunk):
         m = min(per_chunk, count - s)
+        if m not in ramps:
+            ramps[m] = _ramp(n, k, m)
         size = m * k * n
-        u = _uniforms(key, (rep_start + s) * k * n, ramp[:size], work[:size], scratch[:size])
+        u = _uniforms(key, (rep_start + s) * k * n, ramps[m], work[:size], scratch[:size])
         # Exponential draws summed over the sample: the exact gamma(n, rate)
-        # construction for integer n, no rejection step. The row sum stays
-        # numpy's: it is pairwise from 8 terms on, and the bits depend on it.
+        # construction for integer n, no rejection step.
         np.log(u, out=u)
-        draws = u.reshape(m, k, n)
+        draws = u.reshape(n, k, m)
         draws /= neg_rates
-        draws.sum(axis=2, out=out[s : s + m])
-    return out
+        _pairwise_sum(draws, out=out[:, s : s + m])
+    return out.T
 
 
 def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float, ...]:

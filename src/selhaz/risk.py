@@ -189,7 +189,9 @@ def mc_risks(
     for spec in specs:
         _validate_for(spec, pop)
     losses = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
-    return tuple(_estimate_from_losses(row, rng.seed) for row in losses)
+    return tuple(
+        _estimate_from_losses(row, rng.seed, spec.label()) for row, spec in zip(losses, specs)
+    )
 
 
 def mc_risk(
@@ -230,7 +232,7 @@ def mc_dominance(
     _validate_for(spec_a, pop)
     _validate_for(spec_b, pop)
     diffs = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
-    est = _estimate_from_losses(diffs, rng.seed)
+    est = _estimate_from_losses(diffs, rng.seed, f"{spec_a.label()} - {spec_b.label()}")
     return PairedComparison(
         mean_diff=est.mean, std_error_diff=est.std_error, replications=est.replications
     )
@@ -254,15 +256,25 @@ def mc_risk_component(
         return _entropy_losses((c / sums[:, 0]) / rate)
 
     losses = _block_loop(int(n), (rate,), replications, rng, workers, score)
-    return _estimate_from_losses(losses, rng.seed)
+    return _estimate_from_losses(losses, rng.seed, f"c{c:g}")
 
 
-def _estimate_from_losses(losses: np.ndarray, seed: int) -> RiskEstimate:
+def _estimate_from_losses(losses: np.ndarray, seed: int, label: str) -> RiskEstimate:
+    """Mean and standard error of losses; label names the estimate in errors.
+
+    A mean or standard error beyond the float range is a DomainError, not
+    an inf cell: losses near 1e154 already overflow the variance's squares.
+    """
     n_reps = losses.shape[0]
-    se = float(losses.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    return RiskEstimate(
-        mean=float(losses.mean()), std_error=se, replications=n_reps, seed=seed
-    )
+    # The check below reports the overflow; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(losses.mean())
+        se = float(losses.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise DomainError(
+            f"{label}: Monte Carlo risk is not finite (mean {mean:g}, std error {se:g})"
+        )
+    return RiskEstimate(mean=mean, std_error=se, replications=n_reps, seed=seed)
 
 
 def h_of_q(q: float, n: int) -> float:

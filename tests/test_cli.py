@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,19 @@ class TestOneConfigPath:
         code, out, err = run_cli(capsys, "exact", "--c", "4", "--scales", "1e-200,1e200")
         assert code == 1 and out == ""
         assert err == "error: scales: rate ratio q must be finite and >= 1, got inf\n"
+
+    @pytest.mark.parametrize("command", [("risk-table",), ("dominance", "N2I", "N2")])
+    def test_overflowing_risk_names_scales_and_estimator(self, capsys, command):
+        # Finite scales whose improved-estimator risk overflows the float
+        # range: an error naming the row and the estimator, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, *command, "--scales", "1,1;1e-200,1e200", "--reps", "200"
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("error: scales: 1e-200,1e+200: N2I")
+        assert "Monte Carlo risk is not finite" in err and err.count("\n") == 1
 
     def test_exact_infinite_constant_rejected(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--c", "inf", "--scales", "1,1")

@@ -16,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selhaz.estimators import (
+    _NETWORK_MAX_K,
     Admissibility,
     EstimatorKind,
     EstimatorSpec,
+    _estimates,
+    _ordered,
     admissible_range,
     alpha_upper_bound,
     classify_c,
@@ -181,6 +184,44 @@ class TestEvaluate:
             assert whole.shape == (len(sums),)
             rows = [estimate(spec, pop, sums[i : i + 1])[0] for i in range(len(sums))]
             assert whole.tobytes() == np.asarray(rows).tobytes(), spec.label()
+
+
+class TestColumnKernel:
+    """_estimates works on whole columns of a block; each piece must agree
+    with numpy's row-wise operation, ties included."""
+
+    @pytest.mark.parametrize("k", range(2, _NETWORK_MAX_K + 5))
+    def test_ordering_matches_np_sort(self, k):
+        # All 2**k columns of zeros and ones: a comparator network that
+        # sorts these sorts every input (the 0-1 principle). Then small
+        # integers, where most columns hold ties.
+        zero_one = (np.arange(2**k) >> np.arange(k)[:, None]) & 1
+        ties = np.random.default_rng(k).integers(0, 3, size=(k, 3000))
+        for cols in (zero_one.astype(float), ties.astype(float)):
+            np.testing.assert_array_equal(_ordered(cols), np.sort(cols, axis=0))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 12])
+    def test_selection_matches_argmax_on_ties(self, k):
+        sums = np.random.default_rng(k).integers(1, 4, size=(3000, k)).astype(float)
+        (est,), jj = _estimates((n2(5),), 5, sums)
+        np.testing.assert_array_equal(jj, np.argmax(sums, axis=1))
+        np.testing.assert_array_equal(est, 4.0 / sums.max(axis=1))
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_layouts_and_single_rows_agree_to_the_bit(self, k):
+        n = 4
+        rates = np.linspace(0.5, 3.0, k)
+        sums_f = _sum_blocks(n, rates, RngSpec(seed=3), 0, 600)
+        assert sums_f.flags.f_contiguous
+        sums_c = np.ascontiguousarray(sums_f)
+        specs = [n2(n)] + [n2_improved(n, k, h_count=h) for h in range(2, k + 1)]
+        est_f, jj_f = _estimates(specs, n, sums_f)
+        est_c, jj_c = _estimates(specs, n, sums_c)
+        rows = [_estimates(specs, n, sums_c[i : i + 1]) for i in range(len(sums_c))]
+        est_rows = np.concatenate([est for est, _ in rows], axis=1)
+        assert est_f.tobytes() == est_c.tobytes() == est_rows.tobytes()
+        np.testing.assert_array_equal(jj_f, jj_c)
+        np.testing.assert_array_equal(jj_f, np.concatenate([jj for _, jj in rows]))
 
 
 class TestAdmissibleRange:

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selhaz.estimators import EstimatorKind, EstimatorSpec, _estimates, estimate, n2
@@ -19,6 +19,7 @@ from selhaz.model import (
     PopulationSet,
     RngSpec,
     _CHUNK_DRAWS,
+    _pairwise_sum,
     _sum_blocks,
     draw_sums,
 )
@@ -346,3 +347,34 @@ class TestSamplerMemory:
                 _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
 
         assert self._peak(call) < 64 * 1024
+
+
+class TestPairwiseSum:
+    """_pairwise_sum sums over axis 0 in numpy's own reduction order, so the
+    population-major sampler and kernel keep the bits of numpy's row sums."""
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e250, max_value=1e250, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_numpy_reduce_to_the_bit(self, terms):
+        x = np.asarray(terms)
+        # numpy starts its reduction from +0.0, so a sum of only -0.0 terms
+        # is +0.0 there; sampler and kernel sums are never zero.
+        assume(not np.all((x == 0) & np.signbit(x)))
+        got = _pairwise_sum(x[:, None].copy())
+        assert got.tobytes() == np.add.reduce(x, axis=-1, keepdims=True).tobytes()
+
+    def test_every_length_to_300(self):
+        # Magnitudes over sixteen decades, so the order of additions shows.
+        gen = np.random.default_rng(5)
+        for length in range(1, 301):
+            rows = gen.standard_normal((4, length)) * 10.0 ** gen.integers(-8, 9, (4, length))
+            expected = np.add.reduce(rows, axis=-1).tobytes()
+            in_place = _pairwise_sum(np.ascontiguousarray(rows.T))
+            into_out = _pairwise_sum(np.ascontiguousarray(rows.T), out=np.empty(4))
+            assert in_place.tobytes() == into_out.tobytes() == expected, length

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -528,6 +529,19 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match="estimator constant c"):
             sup_risk_scaleinv(c, 5)
 
+    def test_overflowing_risk_names_the_estimator(self):
+        # Finite rates whose ratio is 1e400: the improved correction's
+        # losses reach about 1e200, and their squares overflow the SE.
+        pop = PopulationSet(n=5, rates=(1e200, 1e-200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="N2I: Monte Carlo risk is not finite"):
+                mc_risks((n2(5), n2_improved(5, 2)), pop, 200, RNG)
+            with pytest.raises(DomainError, match="N2I - N2: Monte Carlo risk is not finite"):
+                mc_dominance(n2_improved(5, 2), n2(5), pop, 200, RNG)
+            # The plain estimate is scale free: its risk stays finite.
+            assert math.isfinite(mc_risk(n2(5), pop, 200, RNG).std_error)
+
 
 def _bit_digest(n: int, k: int) -> str:
     """sha256 over float.hex of every Monte Carlo output at (n, k).
@@ -574,3 +588,47 @@ class TestBitPins:
     )
     def test_digest(self, n, k, digest):
         assert _bit_digest(n, k) == digest
+
+
+def _branch_digest(n: int, k: int) -> str:
+    """sha256 over float.hex of draw_sums and mc_risks at (n, k).
+
+    The sampler sums n terms and the improved specs sum h = k and h = 2
+    logs, so n in {9, 16, 129, 257} and k in {8, 9, 12} reach every branch
+    of numpy's pairwise summation (sequential below 8 terms, eight
+    accumulators up to 128, recursive halving above) and both sides of the
+    k at which the kernel stops ordering columns with a sorting network.
+    """
+    rates = tuple(1.0 + 0.5 * ((5 * i) % k) for i in range(k))
+    pop = PopulationSet(n=n, rates=rates)
+    rng = RngSpec(seed=20261018, stream_id=n * 100 + k)
+    specs = (n2(n), ml(n), n2_improved(n, k), ml_improved(n, k, h_count=2))
+    values = []
+    for reps in (1, 4097):
+        for est in mc_risks(specs, pop, reps, rng):
+            values += [est.mean, est.std_error]
+    for replication in (0, 4096):
+        values += draw_sums(pop, rng, replication)
+    text = "\n".join(float(v).hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBranchPins:
+    """Last-bit pins beyond TestBitPins' (n, k): long samples and many
+    populations. Taken before the sampler and the kernel were laid out
+    population-major, and unchanged by it."""
+
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (9, 2, "6d1bc1d1202fec5eb0d9a92c322f9c5a5749532b6c66dd6d1a1027451404337a"),
+            (16, 2, "a781a9b96209de401faaaa67d38bf44377fc2e402d6ec7a9e6cd2442cf575e83"),
+            (129, 2, "9210fa3b6cd3f90f8155cba668dd7178ea3bee7567180ae8083bb8fbc8d2fd4c"),
+            (257, 2, "3e30d71bdb7b9df8065875c1f1459586fef300124c118dd0fbdc47470a0db692"),
+            (5, 8, "27ecffbce468d51917beb6d04ce6377454244c335956754174d5063bcf9f5e08"),
+            (5, 9, "78f2dffcb522d4dd82b59d437ecfa6b9152e87efbf34ccca7a1e1afb45d3447d"),
+            (5, 12, "ce86d6ff38d0b4d8945b7151d6c4615e6188c3c1c77866f1f6ca6bca28d8d7b5"),
+        ],
+    )
+    def test_digest(self, n, k, digest):
+        assert _branch_digest(n, k) == digest
