@@ -177,17 +177,13 @@ def _check_c(c: float) -> None:
         raise DomainError(f"estimator constant c must be positive and finite, got {c}")
 
 
-# Up to this many populations the kernel orders each block's sums with an
-# odd-even transposition network of whole-column minimum/maximum passes.
-# The network grows like k**2 and np.sort does not, so beyond it np.sort.
-_NETWORK_MAX_K = 8
-
-
 def _ordered(cols: np.ndarray) -> np.ndarray:
-    """A new (k, rows) array: each column of cols sorted ascending."""
+    """A new (k, rows) array: each column of cols sorted ascending.
+
+    An odd-even transposition network: k rounds, each a few whole-row
+    minimum/maximum passes over the block.
+    """
     k = len(cols)
-    if k > _NETWORK_MAX_K:
-        return np.sort(cols, axis=0)
     ordered = cols.copy()
     low = np.empty((k // 2, cols.shape[1]))
     # k rounds sort any input; at k = 2 the second round is empty.

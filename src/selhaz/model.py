@@ -32,7 +32,7 @@ _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _STREAM_SALT = _U64(0xD1B54A32D192ED03)
 
-# Draws per sampler chunk: four uint64 buffers of this length (512 KiB in
+# Draws per sampler chunk: three uint64 buffers of this length (384 KiB in
 # all) serve every chunk of a block. Only speed depends on it, not the bits.
 _CHUNK_DRAWS = 16384
 
@@ -69,8 +69,9 @@ def _uniforms(
     The hash input of counter c is key + (c + 1) * _GOLDEN mod 2**64, so
     ramp holds (d + 1) * _GOLDEN for each counter's offset d from first,
     in whatever order the caller wants the uniforms, and one addition of
-    key + first * _GOLDEN gives every input. work and scratch are uint64
-    buffers of ramp's length; the result is scratch viewed as float64.
+    key + first * _GOLDEN gives every input. work and scratch are
+    contiguous uint64 buffers of ramp's shape; the result is scratch
+    viewed as float64.
     Top 53 bits, centered: values lie strictly inside (0, 1), so log(u) is
     always finite.
     """
@@ -164,8 +165,8 @@ def _pairwise_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _ramp(n: int, k: int, m: int) -> np.ndarray:
     """(d + 1) * _GOLDEN for the counter offsets d of m replications,
-    laid out (observation, population, replication): entry (j, i, r)
-    has d = (r * k + i) * n + j."""
+    shape (n, k, m): entry (j, i, r) has d = (r * k + i) * n + j, so the
+    first m' < m replications' ramp is the view [:, :, :m']."""
     # (d + 1) * _GOLDEN = ((r * k + i) * n + 1) * _GOLDEN + j * _GOLDEN mod
     # 2**64, so only the (k, m) first term is multiplied out.
     first = np.arange(m, dtype=_U64)
@@ -174,7 +175,7 @@ def _ramp(n: int, k: int, m: int) -> np.ndarray:
     first *= _GOLDEN
     steps = np.arange(n, dtype=_U64)
     steps *= _GOLDEN
-    return (first + steps[:, None, None]).reshape(-1)
+    return first + steps[:, None, None]
 
 
 def _sum_blocks(
@@ -195,10 +196,10 @@ def _sum_blocks(
     sum over the sample is n - 1 additions of whole rows, in numpy's
     pairwise order. The sums go into a (k, count) array, and the result is
     its transpose: F-ordered, one contiguous row per population. Working
-    memory is four uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries
-    (the counter ramps of the full and the short last chunk, and the hash
-    work and scratch), so at most 32 * max(_CHUNK_DRAWS, k * n) bytes beyond
-    the result, whatever count is.
+    memory is three uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries
+    (the counter ramp, whose leading view serves a short last chunk, and
+    the hash work and scratch), so at most 24 * max(_CHUNK_DRAWS, k * n)
+    bytes beyond the result, whatever count is.
     """
     k = len(rates)
     if (rep_start + count) * k * n > 2**64:
@@ -208,7 +209,7 @@ def _sum_blocks(
         )
     key = _stream_key(rng.seed, rng.stream_id)
     per_chunk = min(count, max(1, _CHUNK_DRAWS // (k * n)))
-    ramps = {}
+    ramp = _ramp(n, k, per_chunk)
     work = np.empty(per_chunk * k * n, dtype=_U64)
     scratch = np.empty_like(work)
     # log(u) / -r is -log(u) / r to the bit: IEEE division is symmetric in sign.
@@ -216,16 +217,19 @@ def _sum_blocks(
     out = np.empty((k, count))
     for s in range(0, count, per_chunk):
         m = min(per_chunk, count - s)
-        if m not in ramps:
-            ramps[m] = _ramp(n, k, m)
         size = m * k * n
-        u = _uniforms(key, (rep_start + s) * k * n, ramps[m], work[:size], scratch[:size])
+        u = _uniforms(
+            key,
+            (rep_start + s) * k * n,
+            ramp[:, :, :m],
+            work[:size].reshape(n, k, m),
+            scratch[:size].reshape(n, k, m),
+        )
         # Exponential draws summed over the sample: the exact gamma(n, rate)
         # construction for integer n, no rejection step.
         np.log(u, out=u)
-        draws = u.reshape(n, k, m)
-        draws /= neg_rates
-        _pairwise_sum(draws, out=out[:, s : s + m])
+        u /= neg_rates
+        _pairwise_sum(u, out=out[:, s : s + m])
     return out.T
 
 
