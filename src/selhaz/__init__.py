@@ -5,8 +5,8 @@ populations, then estimate its hazard rate. This package provides the
 scale-inverse estimator family c/Y_J and its improved corrections, with
 estimate() to evaluate any of them on rows of sums, the admissibility
 interval and minimax constants for two populations, exact k = 2 risks in
-closed form, and a deterministic Monte Carlo risk engine whose results do
-not depend on worker count.
+closed form, and a deterministic Monte Carlo risk engine whose results are
+a pure function of the seed, stream and replication count.
 """
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Populations are entered as scales (1/sigma_i), matching the table headers
 users see; rates are derived internally. Each command takes only the flags
 it reads. A flat key=value config file can hold any of the options; explicit
 flags win over the file, and every command validates the merged config as a
-whole. Every run is a pure function of (config, seed), so reruns and worker
-counts never change the output bytes.
+whole. Every run is a pure function of (config, seed), so reruns never
+change the output bytes. --workers is still accepted, checked and recorded,
+but the engine runs every block on one thread whatever its value.
 
 Each part of the surface is stated once: every option in _OPTIONS, every
 table format in _render, every subcommand in _COMMANDS.
@@ -146,7 +147,8 @@ _OPTIONS = {
     "seed": ("seed", 1729, int, dict(help="base seed")),
     "format": ("output_format", "csv", str, dict(
         choices=_FORMATS, help="output format (default csv)")),
-    "workers": ("workers", 1, int, dict(help="parallel workers")),
+    "workers": ("workers", 1, int, dict(
+        help="accepted and recorded; no longer changes the schedule (always serial)")),
     "alpha": ("alpha", None, float, dict(help="override alpha for N2I/MLI")),
     "h_count": ("h_count", None, int, dict(
         help="override the geometric-mean order count for N2I/MLI")),
@@ -335,7 +337,7 @@ def cmd_risk_table(cfg: ExperimentConfig) -> str:
     rows = []
     for scales, pop, rng in _grid(cfg):
         cells = [f"{s:g}" for s in scales]
-        for est in _at(scales, mc_risks, specs, pop, cfg.replications, rng, workers=cfg.workers):
+        for est in _at(scales, mc_risks, specs, pop, cfg.replications, rng):
             cells += [f"{est.mean:.6f}", f"{est.std_error:.6f}"]
         rows.append(cells)
     return _render(cfg, "risk-table", header, rows)
@@ -350,9 +352,7 @@ def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
     # Since se >= 0, a difference beyond 3 se is also beyond 0.
     neg_beyond = pos_beyond = False
     for scales, pop, rng in _grid(cfg):
-        cmp = _at(
-            scales, mc_dominance, spec_a, spec_b, pop, cfg.replications, rng, workers=cfg.workers
-        )
+        cmp = _at(scales, mc_dominance, spec_a, spec_b, pop, cfg.replications, rng)
         rows.append(
             [f"{s:g}" for s in scales]
             + [f"{cmp.mean_diff:.6f}", f"{cmp.std_error_diff:.6f}", str(cmp.replications)]
@@ -383,7 +383,7 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
     records = []
     for scales, pop, rng in _grid(cfg):
         ratio = scales[0] / scales[1]
-        estimates = _at(scales, mc_risks, specs, pop, cfg.replications, rng, workers=cfg.workers)
+        estimates = _at(scales, mc_risks, specs, pop, cfg.replications, rng)
         for spec, est in zip(specs, estimates):
             records.append((spec.label(), ratio, est.mean, est.std_error))
     records.sort(key=lambda rec: (rec[0], rec[1]))
@@ -455,7 +455,10 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     _check_text_or_json(cfg, "exact")
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
-    spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
+    try:
+        spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
+    except DomainError as exc:
+        raise ConfigError(f"c: {exc}") from exc
     scales, pop, rng = next(_grid(cfg))
     n, replications = cfg.n, cfg.replications
     q = max(pop.rates) / min(pop.rates)
@@ -464,7 +467,7 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     except DomainError as exc:
         raise ConfigError(f"scales: {exc}") from exc
     exact = exact_risk_scaleinv_k2(c, pop.rates, n)
-    est = mc_risk(spec, pop, replications, rng, workers=cfg.workers)
+    est = mc_risk(spec, pop, replications, rng)
     if cfg.output_format == "json":
         payload = {
             "meta": {

@@ -8,9 +8,9 @@ these sums is the estimators module's work.
 
 Sampling is counter based. Every uniform is a hash of
 (seed, stream_id, replication, population, observation), so a replication's
-draws depend only on those labels and never on how many replications some
-worker computed before it. That is what makes Monte Carlo results identical
-across serial and parallel schedules, and it is a hard contract: the counter
+draws depend only on those labels and never on which replications were
+computed before it. That is what makes Monte Carlo results independent of
+the order in which blocks are drawn, and it is a hard contract: the counter
 layout below must not change. The memory order in which the counters are
 hashed and summed is free, and _sum_blocks lays them out population-major
 so that the sum over the sample is a few whole-chunk vector additions.
@@ -20,6 +20,7 @@ so the sums have the bits of a row-wise numpy sum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,12 @@ class RngSpec:
 
     def __post_init__(self) -> None:
         for label, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            # A bool is an Integral too, but True is no label.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{label} must be an integer, got {value!r}")
             if not (0 <= int(value) < 2**64):
                 raise DomainError(f"{label} must fit in 64 unsigned bits, got {value}")
+            object.__setattr__(self, label, int(value))
 
 
 def _check_n(n: int) -> None:
@@ -237,7 +242,7 @@ def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float
     """The k sufficient sums for one labelled replication.
 
     Pure in (seed, stream_id, replication): identical labels give
-    identical sums on every platform and worker count.
+    identical sums on every platform.
     """
     if replication < 0 or not float(replication).is_integer():
         raise DomainError(f"replication must be a nonnegative integer, got {replication}")

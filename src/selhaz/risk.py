@@ -22,14 +22,14 @@ Closed forms implemented here, all for the selected-hazard problem:
 
 The Monte Carlo engine is deterministic by construction: replications are
 cut into fixed-size blocks, each block's losses are a pure function of the
-(seed, stream) labels, and blocks are reassembled in index order before any
-reduction. Worker counts change the schedule, never the bytes of the result.
+(seed, stream) labels, and the blocks run in index order on the calling
+thread before any reduction.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,8 @@ from .numerics import DomainError, digamma, reg_inc_beta
 # Not called here; benchmarks/tracing.py patches both names on this module.
 from .numerics import adaptive_quad, gamma_cdf  # noqa: F401
 
-# Replications per work unit. Fixed: block boundaries are part of the
-# determinism contract, so results cannot depend on the worker count.
+# Replications per block. Fixed: block boundaries are part of the
+# determinism contract.
 _BLOCK = 4096
 
 
@@ -126,26 +126,16 @@ def _blocks(replications: int) -> list[tuple[int, int]]:
     return [(s, min(_BLOCK, replications - s)) for s in range(0, replications, _BLOCK)]
 
 
-def _assemble(worker_fn, replications: int, workers: int) -> np.ndarray:
-    """Run worker_fn over fixed blocks and concatenate in block order.
+# benchmarks/tracing.py wraps _assemble and counts blocks with _blocks, and
+# benchmarks/harness.py calls it at 1 and 2 workers, so it keeps a workers
+# parameter, which it ignores: the blocks always run serially.
+def _assemble(block_fn, replications: int, workers: int) -> np.ndarray:
+    """Run block_fn over the fixed blocks in order and concatenate them.
 
-    Blocks join along the last axis, so a worker that returns one row per
+    Blocks join along the last axis, so a block_fn that returns one row per
     estimator yields one C-contiguous row of losses per estimator.
     """
-    blocks = _blocks(replications)
-    if workers == 1 or len(blocks) == 1:
-        parts = [worker_fn(s, c) for s, c in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: worker_fn(*b), blocks))
-    return np.concatenate(parts, axis=-1)
-
-
-def _check_mc_args(replications: int, workers: int) -> None:
-    if not float(replications).is_integer() or replications < 1:
-        raise DomainError(f"replications must be a positive integer, got {replications}")
-    if not float(workers).is_integer() or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers}")
+    return np.concatenate([block_fn(s, c) for s, c in _blocks(replications)], axis=-1)
 
 
 def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
@@ -155,16 +145,17 @@ def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
         )
 
 
-def _block_loop(n, rates, replications, rng, workers, score) -> np.ndarray:
-    """Check the arguments once, draw each block's sums once, and
+def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
+    """Check the replication count once, draw each block's sums once, and
     assemble score(sums) over the blocks in block order."""
-    _check_mc_args(replications, workers)
+    if not float(replications).is_integer() or replications < 1:
+        raise DomainError(f"replications must be a positive integer, got {replications}")
     rates = np.asarray(rates, dtype=np.float64)
 
     def block(rep_start: int, count: int) -> np.ndarray:
         return score(_sum_blocks(n, rates, rng, rep_start, count))
 
-    return _assemble(block, int(replications), int(workers))
+    return _assemble(block, int(replications), 1)
 
 
 def mc_risks(
@@ -172,7 +163,6 @@ def mc_risks(
     pop: PopulationSet,
     replications: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> tuple[RiskEstimate, ...]:
     """Monte Carlo risks of several estimators on the same draws.
 
@@ -188,7 +178,7 @@ def mc_risks(
 
     for spec in specs:
         _validate_for(spec, pop)
-    losses = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
+    losses = _block_loop(pop.n, pop.rates, replications, rng, score)
     return tuple(
         _estimate_from_losses(row, rng.seed, spec.label()) for row, spec in zip(losses, specs)
     )
@@ -199,14 +189,13 @@ def mc_risk(
     pop: PopulationSet,
     replications: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> RiskEstimate:
     """Monte Carlo risk of an estimator under entropy loss.
 
     Deterministic in (rng, replications): the same labels give the same
-    estimate to the last bit on any worker count.
+    estimate to the last bit.
     """
-    return mc_risks((spec,), pop, replications, rng, workers)[0]
+    return mc_risks((spec,), pop, replications, rng)[0]
 
 
 def mc_dominance(
@@ -215,7 +204,6 @@ def mc_dominance(
     pop: PopulationSet,
     replications: int,
     rng: RngSpec,
-    workers: int = 1,
 ) -> PairedComparison:
     """Paired risk difference A - B on common random numbers.
 
@@ -231,7 +219,7 @@ def mc_dominance(
 
     _validate_for(spec_a, pop)
     _validate_for(spec_b, pop)
-    diffs = _block_loop(pop.n, pop.rates, replications, rng, workers, score)
+    diffs = _block_loop(pop.n, pop.rates, replications, rng, score)
     est = _estimate_from_losses(diffs, rng.seed, f"{spec_a.label()} - {spec_b.label()}")
     return PairedComparison(
         mean_diff=est.mean, std_error_diff=est.std_error, replications=est.replications
@@ -239,7 +227,7 @@ def mc_dominance(
 
 
 def mc_risk_component(
-    n: int, rate: float, c: float, replications: int, rng: RngSpec, workers: int = 1
+    n: int, rate: float, c: float, replications: int, rng: RngSpec
 ) -> RiskEstimate:
     """Single-population oracle mode: risk of c/Y with no selection step.
 
@@ -255,7 +243,7 @@ def mc_risk_component(
     def score(sums: np.ndarray) -> np.ndarray:
         return _entropy_losses((c / sums[:, 0]) / rate)
 
-    losses = _block_loop(int(n), (rate,), replications, rng, workers, score)
+    losses = _block_loop(int(n), (rate,), replications, rng, score)
     return _estimate_from_losses(losses, rng.seed, f"c{c:g}")
 
 
@@ -315,14 +303,34 @@ def _expected_log_selected(q: float, n: int) -> float:
     psi_n = digamma(float(n))
     total = 0.0
     for p, rest in ((share_lo, share_hi), (share_hi, share_lo)):
-        # Negative-binomial weights and psi(n+m) advance by recurrence.
-        weight, psi, log_p, tail = p**n, psi_n, math.log(p), 0.0
+        # Negative-binomial weights and psi(n+m) advance by recurrence. The
+        # weight is weight * 2**scale, so a start p**n below the normal
+        # range (n >= 1075 at q = 1) neither underflows nor loses bits.
+        (weight, scale), psi, log_p, tail = _scaled_power(p, n), psi_n, math.log(p), 0.0
         for m in range(n):
-            tail += weight * (psi + log_p)
+            tail += math.ldexp(weight, scale) * (psi + log_p)
             weight *= rest * (n + m) / (m + 1)
+            if weight > 2.0**512:
+                weight, scale = weight * 2.0**-512, scale + 512
             psi += 1.0 / (n + m)
         total += psi_n - tail
     return total
+
+
+def _scaled_power(p: float, n: int) -> tuple[float, int]:
+    """(w, e) with w * 2**e = p**n for 0 < p < 1: (p**n, 0) when p**n is a
+    normal float, and otherwise w normal, from p's mantissa raised in
+    steps that cannot underflow."""
+    w = p**n
+    if w >= sys.float_info.min:
+        return w, 0
+    f, e = math.frexp(p)
+    w, scale = 1.0, e * n
+    # f >= 0.5, so f**1000 >= 2**-1000 is normal.
+    for done in range(0, n, 1000):
+        w, s = math.frexp(w * f ** min(1000, n - done))
+        scale += s
+    return w, scale
 
 
 def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:

@@ -340,6 +340,12 @@ class TestExact:
         assert code == 1
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("c", ["-1", "0", "nan"])
+    def test_bad_c_error_names_the_field(self, capsys, c):
+        code, out, err = run_cli(capsys, "exact", "--c", c, "--scales", "1,1", "--reps", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("error: c: ")
+
     def test_rejects_three_scales(self, capsys):
         code, _, err = run_cli(
             capsys, "exact", "--c", "4", "--scales", "1,1,1", "--reps", "100"

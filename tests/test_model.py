@@ -60,6 +60,19 @@ class TestRngSpec:
         with pytest.raises(DomainError):
             RngSpec(seed=1, stream_id=bad)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, 7.0, True, "7"])
+    def test_rejects_non_integer_labels(self, bad):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            RngSpec(seed=bad)
+        with pytest.raises(DomainError, match="stream_id must be an integer"):
+            RngSpec(seed=1, stream_id=bad)
+
+    def test_numpy_integer_labels_become_ints(self):
+        rng = RngSpec(seed=np.uint64(7), stream_id=np.int64(3))
+        assert rng == RngSpec(seed=7, stream_id=3)
+        assert type(rng.seed) is int and type(rng.stream_id) is int
+        assert draw_sums(POP, rng, 0) == draw_sums(POP, RngSpec(seed=7, stream_id=3), 0)
+
 
 class TestDrawSums:
     def test_determinism(self):

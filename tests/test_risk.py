@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selhaz.risk
 from selhaz.estimators import (
     EstimatorKind,
     EstimatorSpec,
@@ -37,6 +42,7 @@ from selhaz.risk import (
     BayesPrior,
     PairedComparison,
     RiskEstimate,
+    _blocks,
     _expected_log_selected,
     _losses_for_sums,
     bayes_risk,
@@ -155,7 +161,7 @@ class TestLossKernelSharedWork:
 
     def test_identical_improved_specs_give_exact_zero(self):
         spec = n2_improved(4, 5, h_count=3)
-        cmp = mc_dominance(spec, spec, self.POP5, 5000, RNG, workers=2)
+        cmp = mc_dominance(spec, spec, self.POP5, 5000, RNG)
         assert cmp.mean_diff == 0.0
         assert cmp.std_error_diff == 0.0
 
@@ -168,11 +174,12 @@ class TestMcRisk:
         assert a.std_error == b.std_error
 
     def test_worker_count_invariant(self):
-        base = mc_risk(n2(5), POP, 6000, RNG, workers=1)
-        for workers in (2, 8):
-            other = mc_risk(n2(5), POP, 6000, RNG, workers=workers)
-            assert other.mean == base.mean
-            assert other.std_error == base.std_error
+        # The engine is serial, so this is a rerun across the
+        # 4096-replication block edge.
+        base = mc_risk(n2(5), POP, 6000, RNG)
+        other = mc_risk(n2(5), POP, 6000, RNG)
+        assert other.mean == base.mean
+        assert other.std_error == base.std_error
 
     def test_single_replication_has_zero_se(self):
         est = mc_risk(n2(5), POP, 1, RNG)
@@ -197,8 +204,6 @@ class TestMcRisk:
     def test_domain(self):
         with pytest.raises(DomainError):
             mc_risk(n2(5), POP, 0, RNG)
-        with pytest.raises(DomainError):
-            mc_risk(n2(5), POP, 100, RNG, workers=0)
 
 
 class TestMcDominance:
@@ -218,8 +223,8 @@ class TestMcDominance:
         assert rev.std_error_diff == fwd.std_error_diff
 
     def test_deterministic_and_worker_invariant(self):
-        base = mc_dominance(n1(5), n2(5), POP, 6000, RNG, workers=1)
-        again = mc_dominance(n1(5), n2(5), POP, 6000, RNG, workers=4)
+        base = mc_dominance(n1(5), n2(5), POP, 6000, RNG)
+        again = mc_dominance(n1(5), n2(5), POP, 6000, RNG)
         assert again.mean_diff == base.mean_diff
         assert again.std_error_diff == base.std_error_diff
 
@@ -239,8 +244,8 @@ class TestMcRiskComponent:
         assert abs(a.mean - b.mean) < 4.0 * math.hypot(a.std_error, b.std_error)
 
     def test_deterministic(self):
-        a = mc_risk_component(5, 1.0, 4.0, 5000, RNG, workers=1)
-        b = mc_risk_component(5, 1.0, 4.0, 5000, RNG, workers=8)
+        a = mc_risk_component(5, 1.0, 4.0, 5000, RNG)
+        b = mc_risk_component(5, 1.0, 4.0, 5000, RNG)
         assert a.mean == b.mean
 
     def test_domain(self):
@@ -349,6 +354,19 @@ class TestExactRisk:
         pytest.importorskip("mpmath")
         oracle = expected_log_selected_oracle(q, n)
         assert abs(_expected_log_selected(q, n) - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1074, 1075, 3000])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 1e2])
+    def test_expected_log_large_n_matches_mpmath_oracle(self, n, q):
+        # The start weight p**n is subnormal at n = 1074, q = 1 and 0 from
+        # n = 1075. The rounding of the shares p enters as p**n, so it grows
+        # with n: at n = 3000, q = 1e2, where no weight leaves the normal
+        # range, the sum misses the oracle by 2.1e-13, and by 9e-16 an exact
+        # sum over the same rounded shares. So these cases get 5e-13 where
+        # the small-n grid above gets 1e-13.
+        pytest.importorskip("mpmath")
+        oracle = expected_log_selected_oracle(q, n)
+        assert abs(_expected_log_selected(q, n) - oracle) <= 5e-13
 
     def test_n2_q1e4_regression(self):
         # Adaptive quadrature over (0, inf) misses the narrow peak near
@@ -479,10 +497,44 @@ class TestResultTypes:
             BayesPrior(shape=1.0, rate=0.0)
 
 
+class TestSerialEngine:
+    """The engine runs every block on the calling thread, with no pool."""
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = os.path.dirname(os.path.dirname(selhaz.risk.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, selhaz.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_blocks_run_on_the_calling_thread(self, monkeypatch):
+        seen = []
+        sum_blocks = selhaz.risk._sum_blocks
+
+        def spy(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return sum_blocks(*args)
+
+        reps = 2 * 4096 + 1
+        before = threading.active_count()
+        monkeypatch.setattr(selhaz.risk, "_sum_blocks", spy)
+        mc_risks((n2(5), ml(5)), POP, reps, RNG)
+        assert len(_blocks(reps)) == 3
+        assert seen == [(threading.get_ident(), before)] * 3
+        assert threading.active_count() == before
+
+    def test_workers_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            mc_risk(n2(5), POP, 100, RNG, workers=2)
+
+
 class TestMcRisks:
     """Scoring several estimators on shared draws changes no bit of any one."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("full_blocks", [1, 2, 8])
     @pytest.mark.parametrize(
         "pop, specs",
         [
@@ -494,12 +546,12 @@ class TestMcRisks:
         ],
         ids=["k2-named", "k5-N2I-h3"],
     )
-    def test_rows_equal_single_calls(self, pop, specs, workers):
-        reps = 2 * 4096 + 11
-        joint = mc_risks(specs, pop, reps, RNG, workers=workers)
+    def test_rows_equal_single_calls(self, pop, specs, full_blocks):
+        reps = full_blocks * 4096 + 11
+        joint = mc_risks(specs, pop, reps, RNG)
         assert len(joint) == len(specs)
         for spec, est in zip(specs, joint):
-            alone = mc_risk(spec, pop, reps, RNG, workers=workers)
+            alone = mc_risk(spec, pop, reps, RNG)
             assert est.mean == alone.mean
             assert est.std_error == alone.std_error
             assert est.replications == reps and est.seed == RNG.seed
@@ -548,19 +600,20 @@ def _bit_digest(n: int, k: int) -> str:
 
     Covers mc_risks (plain, h = k and h = 2 improved specs), mc_dominance,
     mc_risk_component and draw_sums, at counts on both sides of the
-    4096-replication block edge and at one and two workers.
+    4096-replication block edge. Each count's engine values enter twice:
+    the digests were taken when the second pass ran on two workers.
     """
     pop = PopulationSet(n=n, rates=(1.0, 2.0, 1.25, 3.0, 0.5)[:k])
     rng = RngSpec(seed=20260819, stream_id=n * 10 + k)
     specs = (n2(n), ml(n), n2_improved(n, k), ml_improved(n, k, h_count=2))
     values = []
     for reps in (1, 4095, 4097, 9000):
-        for workers in (1, 2):
-            for est in mc_risks(specs, pop, reps, rng, workers=workers):
+        for _ in range(2):
+            for est in mc_risks(specs, pop, reps, rng):
                 values += [est.mean, est.std_error]
-            cmp = mc_dominance(specs[2], specs[0], pop, reps, rng, workers=workers)
+            cmp = mc_dominance(specs[2], specs[0], pop, reps, rng)
             values += [cmp.mean_diff, cmp.std_error_diff]
-            est = mc_risk_component(n, 1.5, n - 1.0, reps, rng, workers=workers)
+            est = mc_risk_component(n, 1.5, n - 1.0, reps, rng)
             values += [est.mean, est.std_error]
     for replication in (0, 4095, 4096, 8999):
         values += draw_sums(pop, rng, replication)
