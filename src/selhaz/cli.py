@@ -9,7 +9,8 @@ change the output bytes. --workers is still accepted, checked and recorded,
 but the engine runs every block on one thread whatever its value.
 
 Each part of the surface is stated once: every option in _OPTIONS, every
-table format in _render, every subcommand in _COMMANDS.
+subcommand and the formats it prints in _COMMANDS, the walk over the scale
+grid in _run, and the JSON or text report in _report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__
 from .estimators import (
@@ -33,7 +34,7 @@ from .estimators import (
     n2_improved,
     validate_improved,
 )
-from .model import PopulationSet, RngSpec
+from .model import PopulationSet, RngSpec, _check_counter
 from .numerics import DomainError
 from .risk import (
     exact_risk_scaleinv_k2,
@@ -84,6 +85,10 @@ class ExperimentConfig:
             raise ConfigError(f"k: need k >= 2, got {self.k}")
         if self.replications < 1:
             raise ConfigError(f"reps: must be >= 1, got {self.replications}")
+        try:
+            _check_counter(0, self.replications, self.k, self.n)
+        except DomainError as exc:
+            raise ConfigError(f"reps: {exc}") from exc
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed: must fit in 64 unsigned bits, got {self.seed}")
         if self.workers < 1:
@@ -279,8 +284,21 @@ def _specs(cfg: ExperimentConfig, tokens) -> list[EstimatorSpec]:
     return [build_estimator(tok, cfg.n, cfg.k, cfg.alpha, cfg.h_count) for tok in tokens]
 
 
-def _grid(cfg: ExperimentConfig):
-    """Yield (scales, populations, stream) per grid row; row i draws from stream i."""
+def _labelled(cfg: ExperimentConfig) -> list[EstimatorSpec]:
+    """cfg's estimators for a table or plot series; each label names a
+    column or a series, so two specs may not share one."""
+    specs = _specs(cfg, cfg.estimators)
+    labels = [spec.label() for spec in specs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"estimators: duplicate estimator label {label!r}")
+    return specs
+
+
+def _run(cfg: ExperimentConfig, engine, *specs):
+    """Yield (scales, engine(*specs, populations, reps, stream)) per grid row;
+    row i draws from stream i. A DomainError the engine raises, such as a
+    risk beyond the float range, becomes a scales: error naming the row."""
     grid = cfg.scales_grid
     if grid is None:
         if cfg.k != 2:
@@ -288,71 +306,75 @@ def _grid(cfg: ExperimentConfig):
         grid = [(s1, s2) for s1 in _DEFAULT_SCALE_1 for s2 in _DEFAULT_SCALE_2]
     for row_index, scales in enumerate(grid):
         pop = PopulationSet(n=cfg.n, rates=tuple(1.0 / s for s in scales))
-        yield scales, pop, RngSpec(seed=cfg.seed, stream_id=row_index)
+        try:
+            result = engine(*specs, pop, cfg.replications, RngSpec(cfg.seed, row_index))
+        except DomainError as exc:
+            raise ConfigError(f"scales: {','.join(f'{s:g}' for s in scales)}: {exc}") from exc
+        yield scales, result
 
 
-def _at(scales, run, *args, **kwargs):
-    """run(*args, **kwargs) for one grid row. A DomainError it raises, such
-    as a risk beyond the float range, becomes a scales: error naming the row."""
-    try:
-        return run(*args, **kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"scales: {','.join(f'{s:g}' for s in scales)}: {exc}") from exc
+def _report(cfg: ExperimentConfig, command: str, meta: dict, body: dict, lines) -> str:
+    """The one writer: JSON {"meta": {command, version, **meta}, **body} when
+    cfg asks for JSON, else the text lines."""
+    if cfg.output_format == "json":
+        meta = {"command": command, "version": __version__, **meta}
+        return json.dumps({"meta": meta, **body}, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-def _render(cfg: ExperimentConfig, command: str, header, rows, verdict=None) -> str:
-    """A table in cfg's format: CSV, markdown, or JSON with the run's meta.
+def _table(cfg: ExperimentConfig, command: str, tokens, header, rows, verdict=None) -> str:
+    """A table as CSV, markdown, or JSON rows under meta that lists tokens.
 
     A verdict follows the rows: as a '# ' comment line in CSV, as a
     paragraph in markdown, and as the "verdict" key in JSON.
     """
-    if cfg.output_format == "json":
-        meta = dict(
-            command=command, version=__version__, n=cfg.n, k=cfg.k,
-            replications=cfg.replications, seed=cfg.seed, workers=cfg.workers,
-            estimators=list(cfg.estimators),
-        )
-        payload = {"meta": meta, "rows": [dict(zip(header, row)) for row in rows]}
-        if verdict:
-            payload["verdict"] = verdict
-        return json.dumps(payload, indent=2) + "\n"
-    if cfg.output_format == "csv":
-        lines = [",".join(row) for row in (header, *rows)]
-        if verdict:
-            lines.append(f"# {verdict}")
-    else:
+    if cfg.output_format == "markdown":
         lines = ["| " + " | ".join(row) + " |" for row in (header, *rows)]
         lines.insert(1, "|" + "|".join(" --- " for _ in header) + "|")
         if verdict:
             lines.append(f"\n{verdict}")
-    return "\n".join(lines) + "\n"
+    else:
+        lines = [",".join(row) for row in (header, *rows)]
+        if verdict:
+            lines.append(f"# {verdict}")
+    meta = dict(
+        n=cfg.n, k=cfg.k, replications=cfg.replications, seed=cfg.seed,
+        workers=cfg.workers, estimators=list(tokens),
+    )
+    body = {"rows": [dict(zip(header, row)) for row in rows]}
+    if verdict:
+        body["verdict"] = verdict
+    return _report(cfg, command, meta, body, lines)
 
 
 def cmd_risk_table(cfg: ExperimentConfig) -> str:
     """One row per scale vector; R and SE columns per estimator."""
-    specs = _specs(cfg, cfg.estimators)
+    specs = _labelled(cfg)
     header = [f"scale_{i + 1}" for i in range(cfg.k)]
     for spec in specs:
         header += [f"R_{spec.label()}", f"SE_{spec.label()}"]
     rows = []
-    for scales, pop, rng in _grid(cfg):
+    for scales, estimates in _run(cfg, mc_risks, specs):
         cells = [f"{s:g}" for s in scales]
-        for est in _at(scales, mc_risks, specs, pop, cfg.replications, rng):
+        for est in estimates:
             cells += [f"{est.mean:.6f}", f"{est.std_error:.6f}"]
         rows.append(cells)
-    return _render(cfg, "risk-table", header, rows)
+    return _table(cfg, "risk-table", cfg.estimators, header, rows)
 
 
 def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
     """Paired comparison A - B per grid point plus a 3-sigma verdict."""
+    if cfg.replications < 2:
+        raise ConfigError(
+            f"reps: dominance needs reps >= 2 for a standard error, got {cfg.replications}"
+        )
     spec_a, spec_b = _specs(cfg, (name_a, name_b))
     header = [f"scale_{i + 1}" for i in range(cfg.k)]
     header += ["mean_diff", "std_error_diff", "replications"]
     rows = []
     # Since se >= 0, a difference beyond 3 se is also beyond 0.
     neg_beyond = pos_beyond = False
-    for scales, pop, rng in _grid(cfg):
-        cmp = _at(scales, mc_dominance, spec_a, spec_b, pop, cfg.replications, rng)
+    for scales, cmp in _run(cfg, mc_dominance, spec_a, spec_b):
         rows.append(
             [f"{s:g}" for s in scales]
             + [f"{cmp.mean_diff:.6f}", f"{cmp.std_error_diff:.6f}", str(cmp.replications)]
@@ -369,21 +391,21 @@ def cmd_dominance(cfg: ExperimentConfig, name_a: str, name_b: str) -> str:
         verdict = f"{label_a} dominates {label_b} at 3 std errors"
     else:
         verdict = "inconclusive at 3 std errors"
-    compared = replace(cfg, estimators=(name_a, name_b))
-    return _render(compared, "dominance", header, rows, verdict=f"verdict: {verdict}")
+    return _table(cfg, "dominance", (name_a, name_b), header, rows, f"verdict: {verdict}")
 
 
 def cmd_plot_data(cfg: ExperimentConfig) -> str:
-    """Long-format series keyed by scale ratio; k = 2 only, CSV only."""
+    """Long-format series keyed by scale ratio; k = 2 only, CSV only.
+
+    Rows sort by (label, ratio); the sort is stable, so rows of equal
+    ratio keep their grid order.
+    """
     if cfg.k != 2:
         raise ConfigError("plot-data: ratio plots need exactly k=2 populations")
-    if cfg.output_format != "csv":
-        raise ConfigError("plot-data: emits CSV only, drop the format override")
-    specs = _specs(cfg, cfg.estimators)
+    specs = _labelled(cfg)
     records = []
-    for scales, pop, rng in _grid(cfg):
+    for scales, estimates in _run(cfg, mc_risks, specs):
         ratio = scales[0] / scales[1]
-        estimates = _at(scales, mc_risks, specs, pop, cfg.replications, rng)
         for spec, est in zip(specs, estimates):
             records.append((spec.label(), ratio, est.mean, est.std_error))
     records.sort(key=lambda rec: (rec[0], rec[1]))
@@ -391,13 +413,8 @@ def cmd_plot_data(cfg: ExperimentConfig) -> str:
         [f"{ratio:.6g}", label, f"{mean:.6f}", f"{se:.6f}"]
         for label, ratio, mean, se in records
     ]
-    return _render(cfg, "plot-data", ["ratio", "estimator", "risk", "std_error"], rows)
-
-
-def _check_text_or_json(cfg: ExperimentConfig, command: str) -> None:
-    """bounds and exact print plain text (format csv) or JSON; no tables."""
-    if cfg.output_format == "markdown":
-        raise ConfigError(f"format: {command} prints csv (plain text) or json, not markdown")
+    header = ["ratio", "estimator", "risk", "std_error"]
+    return _table(cfg, "plot-data", cfg.estimators, header, rows)
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> str:
@@ -408,108 +425,84 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     the limit is the supremum over q, checked numerically (see
     sup_risk_scaleinv).
     """
-    _check_text_or_json(cfg, "bounds")
     n, k = cfg.n, cfg.k
     if k != 2:
         raise ConfigError(f"k: bounds prints k = 2 results only, got k={k}")
     rng = admissible_range(n)
     minimax = gb_component_risk(n)
-    sup_rows = [
-        (c_label, float(c), sup_risk_scaleinv(float(c), n))
-        for c_label, c in (("n-1", n - 1), ("n", n))
-    ]
-    alpha_rows = [
-        ("n-1", float(n - 1), alpha_upper_bound(n, k, float(n - 1))),
-        ("n", float(n), alpha_upper_bound(n, k, float(n))),
-    ]
-    if cfg.output_format == "json":
-        payload = {
-            "meta": {"command": "bounds", "version": __version__, "n": n, "k": k},
-            "c_lower": rng.c_lower,
-            "c_upper": rng.c_upper,
-            "minimax_value": minimax,
-            "sup_risk_bounds": [
-                {"c_label": lab, "c": c, "sup_risk_bound": v} for lab, c, v in sup_rows
-            ],
-            "alpha_upper_bounds": [
-                {"c_label": lab, "c": c, "alpha_bound": v} for lab, c, v in alpha_rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    cs = (("n-1", float(n - 1)), ("n", float(n)))
+    sup_rows = [(lab, c, sup_risk_scaleinv(c, n)) for lab, c in cs]
+    alpha_rows = [(lab, c, alpha_upper_bound(n, k, c)) for lab, c in cs]
+    body = {
+        "c_lower": rng.c_lower,
+        "c_upper": rng.c_upper,
+        "minimax_value": minimax,
+        "sup_risk_bounds": [
+            {"c_label": lab, "c": c, "sup_risk_bound": v} for lab, c, v in sup_rows
+        ],
+        "alpha_upper_bounds": [
+            {"c_label": lab, "c": c, "alpha_bound": v} for lab, c, v in alpha_rows
+        ],
+    }
     lines = [
         f"n = {n}, k = {k}",
         f"admissible c interval: [{rng.c_lower:.10g}, {rng.c_upper:.10g}]",
         f"minimax value: {minimax:.10g}",
         "sup-risk bounds (scale-inverse family):",
+        *(f"  c = {lab} = {c:g}: {v:.10g}" for lab, c, v in sup_rows),
+        f"alpha upper bounds (h = k = {k}):",
+        *(f"  c = {lab} = {c:g}: {v:.10g}" for lab, c, v in alpha_rows),
     ]
-    for lab, c, v in sup_rows:
-        lines.append(f"  c = {lab} = {c:g}: {v:.10g}")
-    lines.append(f"alpha upper bounds (h = k = {k}):")
-    for lab, c, v in alpha_rows:
-        lines.append(f"  c = {lab} = {c:g}: {v:.10g}")
-    return "\n".join(lines) + "\n"
+    return _report(cfg, "bounds", {"n": n, "k": k}, body, lines)
 
 
 def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     """Closed-form exact risk for k = 2 next to its Monte Carlo cross-check."""
-    _check_text_or_json(cfg, "exact")
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
     try:
         spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
     except DomainError as exc:
         raise ConfigError(f"c: {exc}") from exc
-    scales, pop, rng = next(_grid(cfg))
-    n, replications = cfg.n, cfg.replications
-    q = max(pop.rates) / min(pop.rates)
+    n = cfg.n
+    # The rates _run derives, checked for their ratio before any draw.
+    rates = tuple(1.0 / s for s in cfg.scales_grid[0])
+    q = max(rates) / min(rates)
     try:
         h_val = h_of_q(q, n)
     except DomainError as exc:
         raise ConfigError(f"scales: {exc}") from exc
-    exact = exact_risk_scaleinv_k2(c, pop.rates, n)
-    est = mc_risk(spec, pop, replications, rng)
-    if cfg.output_format == "json":
-        payload = {
-            "meta": {
-                "command": "exact",
-                "version": __version__,
-                "n": n,
-                "c": c,
-                "scales": list(scales),
-                "replications": replications,
-                "seed": cfg.seed,
-            },
-            "q": q,
-            "h_of_q": h_val,
-            "exact_risk": exact,
-            "mc_risk": est.mean,
-            "mc_std_error": est.std_error,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return (
-        f"n = {n}, c = {c:g}, scales = ({scales[0]:g}, {scales[1]:g})\n"
-        f"q (rate ratio) = {q:.10g}\n"
-        f"h(q) = {h_val:.10g}\n"
-        f"exact risk = {exact:.10g}\n"
-        f"mc risk = {est.mean:.6f} (se {est.std_error:.6f}, reps {est.replications})\n"
+    exact = exact_risk_scaleinv_k2(c, rates, n)
+    ((scales, est),) = _run(cfg, mc_risk, spec)
+    meta = dict(n=n, c=c, scales=list(scales), replications=cfg.replications, seed=cfg.seed)
+    body = dict(
+        q=q, h_of_q=h_val, exact_risk=exact, mc_risk=est.mean, mc_std_error=est.std_error
     )
+    lines = [
+        f"n = {n}, c = {c:g}, scales = ({scales[0]:g}, {scales[1]:g})",
+        f"q (rate ratio) = {q:.10g}",
+        f"h(q) = {h_val:.10g}",
+        f"exact risk = {exact:.10g}",
+        f"mc risk = {est.mean:.6f} (se {est.std_error:.6f}, reps {est.replications})",
+    ]
+    return _report(cfg, "exact", meta, body, lines)
 
 
-# name -> (handler, help, own arguments, option keys in --help order). Own
-# arguments are not config options; main passes their values to the handler
-# after the config.
+# name -> (handler, help, formats, own arguments, option keys in --help
+# order). main rejects any other format. Own arguments are not config
+# options; main passes their values to the handler after the config.
 _COMMANDS = {
-    "risk-table": (cmd_risk_table, "Monte Carlo risk table on a scale grid", (),
+    "risk-table": (cmd_risk_table, "Monte Carlo risk table on a scale grid", _FORMATS, (),
                    "n k reps seed format config out workers scales estimators alpha h_count"),
-    "bounds": (cmd_bounds, "admissibility and minimax constants for k = 2", (),
-               "n format config out"),
-    "dominance": (cmd_dominance, "paired comparison of two estimators", (
+    "bounds": (cmd_bounds, "admissibility and minimax constants for k = 2", ("csv", "json"),
+               (), "n format config out"),
+    "dominance": (cmd_dominance, "paired comparison of two estimators", _FORMATS, (
         ("estimator_a", dict(help="first estimator token")),
         ("estimator_b", dict(help="second estimator token")),
     ), "n k reps seed format config out workers scales alpha h_count"),
-    "plot-data": (cmd_plot_data, "risk series keyed by scale ratio", (),
+    "plot-data": (cmd_plot_data, "risk series keyed by scale ratio", ("csv",), (),
                   "n k reps seed format config out workers scales estimators alpha h_count"),
-    "exact": (cmd_exact, "closed-form exact risk for k = 2 plus MC check", (
+    "exact": (cmd_exact, "closed-form exact risk for k = 2 plus MC check", ("csv", "json"), (
         ("--c", dict(type=float, required=True, help="estimator constant")),
     ), "n reps seed format config out workers scales"),
 }
@@ -522,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, own, keys) in _COMMANDS.items():
+    for name, (_, help_text, _, own, keys) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for arg, settings in own:
             command.add_argument(arg, **settings)
@@ -536,9 +529,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler, _, own, _ = _COMMANDS[args.command]
+    handler, _, formats, own, _ = _COMMANDS[args.command]
     try:
         cfg = config_from_args(args)
+        if cfg.output_format not in formats:
+            raise ConfigError(
+                f"format: {args.command} prints {' or '.join(f.upper() for f in formats)}, "
+                f"not {cfg.output_format}"
+            )
         text = handler(cfg, *(getattr(args, arg.lstrip("-")) for arg, _ in own))
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,6 +183,18 @@ def _ramp(n: int, k: int, m: int) -> np.ndarray:
     return first + steps[:, None, None]
 
 
+def _check_counter(rep_start: int, rep_end: int, k: int, n: int) -> None:
+    """Reject replications [rep_start, rep_end) whose last draw counter,
+    rep_end * k * n - 1, would not fit in 64 bits: wrapping would silently
+    repeat another replication's draws. Pure arithmetic, so a caller can
+    check a whole run before it allocates anything for it."""
+    if rep_end * k * n > 2**64:
+        raise DomainError(
+            f"replications [{rep_start}, {rep_end}) overflow the 64-bit "
+            f"draw counter at k={k}, n={n}"
+        )
+
+
 def _sum_blocks(
     n: int, rates: np.ndarray, rng: RngSpec, rep_start: int, count: int
 ) -> np.ndarray:
@@ -207,11 +219,7 @@ def _sum_blocks(
     bytes beyond the result, whatever count is.
     """
     k = len(rates)
-    if (rep_start + count) * k * n > 2**64:
-        raise DomainError(
-            f"replications [{rep_start}, {rep_start + count}) overflow the 64-bit "
-            f"draw counter at k={k}, n={n}"
-        )
+    _check_counter(rep_start, rep_start + count, k, n)
     key = _stream_key(rng.seed, rng.stream_id)
     per_chunk = min(count, max(1, _CHUNK_DRAWS // (k * n)))
     ramp = _ramp(n, k, per_chunk)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, EstimatorSpec, _check_c, _estimates, validate_improved
-from .model import PopulationSet, RngSpec, _check_n, _sum_blocks
+from .model import PopulationSet, RngSpec, _check_counter, _check_n, _sum_blocks
 from .numerics import DomainError, digamma, reg_inc_beta
 
 # Not called here; benchmarks/tracing.py patches both names on this module.
@@ -147,10 +147,15 @@ def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
 
 def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
     """Check the replication count once, draw each block's sums once, and
-    assemble score(sums) over the blocks in block order."""
+    assemble score(sums) over the blocks in block order.
+
+    A count whose draw counters overflow is rejected before the block list
+    is built: at 2**62 replications that list alone would not fit in memory.
+    """
     if not float(replications).is_integer() or replications < 1:
         raise DomainError(f"replications must be a positive integer, got {replications}")
     rates = np.asarray(rates, dtype=np.float64)
+    _check_counter(0, int(replications), len(rates), n)
 
     def block(rep_start: int, count: int) -> np.ndarray:
         return score(_sum_blocks(n, rates, rng, rep_start, count))

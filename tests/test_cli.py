@@ -620,3 +620,72 @@ class TestReadmeFlagTable:
         readme, parser = self.readme_rows(), self.parser_flags()
         assert readme == parser
         assert sum(len(flags) for flags in parser.values()) == 48
+
+
+class TestGridRunnerAndReport:
+    """Every engine command walks the grid through one runner and every
+    command writes through one report; main checks each command's formats."""
+
+    # A small, valid run of every command.
+    RUNS = {
+        "risk-table": ("--scales", "1,1", "--reps", "50", "--estimators", "N2"),
+        "bounds": ("--n", "5"),
+        "dominance": ("N2", "N1", "--scales", "1,1", "--reps", "50"),
+        "plot-data": ("--scales", "1,1", "--reps", "50", "--estimators", "N2"),
+        "exact": ("--c", "4", "--scales", "1,1", "--reps", "50"),
+    }
+    ACCEPTED = {
+        "risk-table": ("csv", "json", "markdown"),
+        "bounds": ("csv", "json"),
+        "dominance": ("csv", "json", "markdown"),
+        "plot-data": ("csv",),
+        "exact": ("csv", "json"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_format_rule(self, capsys, command, fmt):
+        code, out, err = run_cli(capsys, command, *self.RUNS[command], "--format", fmt)
+        if fmt in self.ACCEPTED[command]:
+            assert code == 0 and err == "" and out
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: format: {command} prints ")
+            assert err.endswith(f", not {fmt}\n")
+
+    @pytest.mark.parametrize("command", ["risk-table", "plot-data"])
+    def test_duplicate_estimator_label_rejected(self, capsys, command):
+        # N2 and n2 resolve to one label; JSON rows would keep one column.
+        code, out, err = run_cli(
+            capsys, command, "--estimators", "N2,n2", "--scales", "1,1", "--reps", "50"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: estimators: duplicate estimator label 'N2'\n"
+
+    def test_dominance_needs_two_replications(self, capsys):
+        code, out, err = run_cli(capsys, "dominance", "N1", "N2", "--reps", "1", "--scales", "1,1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: reps: ") and "reps >= 2" in err
+        code, out, _ = run_cli(capsys, "dominance", "N1", "N2", "--reps", "2", "--scales", "1,1")
+        assert code == 0 and "# verdict:" in out
+
+    def test_plot_data_keeps_grid_order_for_equal_ratios(self, capsys):
+        # Every row has ratio 0.5, so the rows follow the grid, whose risks
+        # the table prints in the same order.
+        grid = ("--scales", "0.5,1;1,2;2,4;4,8", "--estimators", "N2", "--reps", "50")
+        code, plot, _ = run_cli(capsys, "plot-data", *grid)
+        assert code == 0
+        _, table, _ = run_cli(capsys, "risk-table", *grid)
+        table_rows = [line.split(",") for line in table.splitlines()[1:]]
+        assert len({row[2] for row in table_rows}) == 4
+        assert plot.splitlines()[1:] == [f"0.5,N2,{row[2]},{row[3]}" for row in table_rows]
+
+    def test_counter_overflow_names_reps(self):
+        # 2**62 replications at k * n = 10 need counters past 2**64.
+        with pytest.raises(ConfigError, match=r"^reps: .*64-bit draw counter at k=2, n=5"):
+            ExperimentConfig(
+                n=5, k=2, scales_grid=None, estimators=("N2",), replications=2**62, seed=1
+            )
+        ExperimentConfig(
+            n=4, k=2, scales_grid=None, estimators=("N2",), replications=2**61, seed=1
+        )

@@ -19,6 +19,7 @@ from selhaz.model import (
     PopulationSet,
     RngSpec,
     _CHUNK_DRAWS,
+    _check_counter,
     _pairwise_sum,
     _sum_blocks,
     draw_sums,
@@ -296,6 +297,13 @@ class TestCounterRange:
         rates = np.asarray(self.POP4.rates)
         with pytest.raises(DomainError, match="64-bit"):
             _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
+
+    def test_check_counter_boundary(self):
+        # At k * n = 8, replication 2**61 - 1 ends on counter 2**64 - 1.
+        _check_counter(0, 2**61, 2, 4)
+        _check_counter(2**61 - 1, 2**61, 2, 4)
+        with pytest.raises(DomainError, match=r"\[0, 2305843009213693953\) overflow the 64-bit"):
+            _check_counter(0, 2**61 + 1, 2, 4)
 
 
 def _rowwise(n: int, rates: tuple[float, ...], rep_start: int, count: int) -> np.ndarray:

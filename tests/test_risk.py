@@ -368,6 +368,13 @@ class TestExactRisk:
         oracle = expected_log_selected_oracle(q, n)
         assert abs(_expected_log_selected(q, n) - oracle) <= 5e-13
 
+    @pytest.mark.parametrize("q", [0.5, 2e9, 1e200])
+    def test_oracle_refuses_unchecked_ratios(self, q):
+        # At n = 5, q = 1e200 the quadrature returned 0.8846, where the
+        # q -> inf limit is psi(5) = 1.5061.
+        with pytest.raises(ValueError, match=r"\[1, 1e9\]"):
+            expected_log_selected_oracle(q, 5)
+
     def test_n2_q1e4_regression(self):
         # Adaptive quadrature over (0, inf) misses the narrow peak near
         # y = 2/q here by 3.8e-8 while reporting convergence. At n = 2,
@@ -594,6 +601,37 @@ class TestNonFiniteInputs:
             # The plain estimate is scale free: its risk stays finite.
             assert math.isfinite(mc_risk(n2(5), pop, 200, RNG).std_error)
 
+
+
+class TestCounterOverflowBeforeBlocks:
+    """A replication count whose draw counters overflow is rejected before
+    the engine lists its blocks: at 2**62 reps that list alone holds about
+    1e15 entries. _blocks and _assemble are replaced by failures, so a
+    check that came too late fails here instead of allocating."""
+
+    REPS = 2**62
+
+    @pytest.fixture(autouse=True)
+    def no_blocks(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("blocks listed before the counter check")
+
+        monkeypatch.setattr(selhaz.risk, "_blocks", forbidden)
+        monkeypatch.setattr(selhaz.risk, "_assemble", forbidden)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda reps: mc_risk(n2(5), POP, reps, RNG),
+            lambda reps: mc_risks((n2(5), ml(5)), POP, reps, RNG),
+            lambda reps: mc_dominance(n2(5), ml(5), POP, reps, RNG),
+            lambda reps: mc_risk_component(5, 1.0, 4.0, 2 * reps, RNG),
+        ],
+        ids=["mc_risk", "mc_risks", "mc_dominance", "mc_risk_component"],
+    )
+    def test_rejected_without_listing_blocks(self, run):
+        with pytest.raises(DomainError, match=r"\[0, \d+\) overflow the 64-bit draw counter"):
+            run(self.REPS)
 
 def _bit_digest(n: int, k: int) -> str:
     """sha256 over float.hex of every Monte Carlo output at (n, k).
