@@ -199,7 +199,7 @@ def build_estimator(
                 h_count=int(h_text),
                 name=token,
             )
-            validate_improved(spec, n, k).raise_if_invalid(token)
+            validate_improved(spec, n, k)
             return spec
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"estimators: bad token {token!r}: {exc}") from exc

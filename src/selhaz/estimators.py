@@ -53,8 +53,9 @@ class EstimatorSpec:
 
     ScaleInverse uses only c. Improved also carries alpha (the correction
     coefficient) and h_count (how many of the largest sums enter the
-    geometric mean). The alpha bound depends on (n, k), so it is enforced
-    by validate_improved against a concrete population set, not here.
+    geometric mean; an integral float is stored as an int). The limits on
+    c, h_count and alpha depend on (n, k), so validate_improved enforces
+    them where the spec runs, not here.
     """
 
     kind: EstimatorKind
@@ -72,6 +73,7 @@ class EstimatorSpec:
                 raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
             if not float(self.h_count).is_integer() or self.h_count < 2:
                 raise DomainError(f"h_count must be an integer >= 2, got {self.h_count}")
+            object.__setattr__(self, "h_count", int(self.h_count))
         else:
             if self.alpha is not None or self.h_count is not None:
                 raise DomainError("scale-inverse estimator takes neither alpha nor h_count")
@@ -104,25 +106,6 @@ class Classification:
     # The dominating constant when inadmissible (the nearest interval
     # endpoint); None when admissible.
     dominating_c: float | None
-
-
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    limit: float
-    actual: float
-
-
-@dataclass(frozen=True)
-class ImprovedValidation:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-    def raise_if_invalid(self, context: str) -> None:
-        """Raise DomainError naming the first violation, prefixed by context."""
-        if not self.ok:
-            v = self.violations[0]
-            raise DomainError(f"{context}: {v.condition} (limit {v.limit:g}, got {v.actual:g})")
 
 
 def ml(n: int) -> EstimatorSpec:
@@ -165,10 +148,10 @@ def _improved(
     _check_n(n)
     if k < 2:
         raise DomainError(f"need at least 2 populations, got k={k}")
-    h = int(h_count) if h_count is not None else int(k)
+    h = h_count if h_count is not None else k
     a = float(alpha) if alpha is not None else alpha_upper_bound(n, h, c)
     spec = EstimatorSpec(EstimatorKind.IMPROVED, c, alpha=a, h_count=h, name=name)
-    validate_improved(spec, n, k).raise_if_invalid(name)
+    validate_improved(spec, n, k)
     return spec
 
 
@@ -253,10 +236,7 @@ def estimate(spec: EstimatorSpec, pop: PopulationSet, sums) -> np.ndarray:
     sums has shape (rows, k) for the k populations of pop, every entry
     finite and positive; the result has one estimate per row.
     """
-    if spec.kind is EstimatorKind.IMPROVED:
-        validate_improved(spec, pop.n, pop.k).raise_if_invalid(
-            f"improved spec invalid for n={pop.n}, k={pop.k}"
-        )
+    validate_improved(spec, pop.n, pop.k)
     sums = np.asarray(sums, dtype=np.float64)
     if sums.ndim != 2 or sums.shape[1] != pop.k:
         raise DomainError(f"sums must have shape (rows, {pop.k}), got {sums.shape}")
@@ -294,7 +274,7 @@ def classify_c(n: int, c: float) -> Classification:
 
 
 def alpha_upper_bound(n: int, h_count: int, c: float) -> float:
-    """Largest correction coefficient validate_improved accepts.
+    """Largest alpha validate_improved accepts, and the limit it reports.
 
     ((n - c) h + 1)/(n h + 1); decreasing in c, so the bound for ML
     (c = n) is the tightest of the named family. It bounds the range of
@@ -311,24 +291,30 @@ def alpha_upper_bound(n: int, h_count: int, c: float) -> float:
     return ((n - c) * h + 1.0) / (n * h + 1.0)
 
 
-def validate_improved(spec: EstimatorSpec, n: int, k: int) -> ImprovedValidation:
-    """Check an improved spec against a concrete (n, k).
+def validate_improved(spec: EstimatorSpec, n: int, k: int) -> None:
+    """Raise DomainError unless spec may run at sample size n with k populations.
 
-    The correction weight w(t) = alpha/t is nonincreasing by construction,
-    so the checks are the c range, the h_count range, and the alpha bound.
+    A scale-inverse spec always may. An improved spec must have c in
+    (0, n], h_count in [2, k] and alpha at most alpha_upper_bound; the
+    message names the spec's label, n, k and the first of these conditions
+    that fails, with its limit and the value found. The correction weight
+    w(t) = alpha/t is nonincreasing by construction, so nothing else is
+    checked.
     """
-    if spec.kind is not EstimatorKind.IMPROVED:
-        raise DomainError("validate_improved expects an improved estimator spec")
     _check_n(n)
     if k < 2:
         raise DomainError(f"need at least 2 populations, got k={k}")
-    violations = []
+    if spec.kind is not EstimatorKind.IMPROVED:
+        return
     if not (0 < spec.c <= n):
-        violations.append(Violation("c must lie in (0, n]", float(n), spec.c))
-    if not (2 <= spec.h_count <= k):
-        violations.append(Violation("h_count must lie in [2, k]", float(k), float(spec.h_count)))
-    if not violations:
-        bound = alpha_upper_bound(n, spec.h_count, spec.c)
-        if spec.alpha > bound:
-            violations.append(Violation("alpha above its upper bound", bound, spec.alpha))
-    return ImprovedValidation(ok=not violations, violations=tuple(violations))
+        condition, limit, actual = "c must lie in (0, n]", n, spec.c
+    elif not (2 <= spec.h_count <= k):
+        condition, limit, actual = "h_count must lie in [2, k]", k, spec.h_count
+    else:
+        limit, actual = alpha_upper_bound(n, spec.h_count, spec.c), spec.alpha
+        if actual <= limit:
+            return
+        condition = "alpha above its upper bound"
+    raise DomainError(
+        f"{spec.label()} at n={n}, k={k}: {condition} (limit {limit:g}, got {actual:g})"
+    )

@@ -183,6 +183,17 @@ def _ramp(n: int, k: int, m: int) -> np.ndarray:
     return first + steps[:, None, None]
 
 
+def _is_integral(x) -> bool:
+    """Whether x is an int, a numpy integer or an integral float; a bool is
+    not. An int is never converted to float, so a count beyond the float
+    range reaches _check_counter and its DomainError."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, numbers.Integral):
+        return True
+    return isinstance(x, (float, np.floating)) and float(x).is_integer()
+
+
 def _check_counter(rep_start: int, rep_end: int, k: int, n: int) -> None:
     """Reject replications [rep_start, rep_end) whose last draw counter,
     rep_end * k * n - 1, would not fit in 64 bits: wrapping would silently
@@ -252,7 +263,7 @@ def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float
     Pure in (seed, stream_id, replication): identical labels give
     identical sums on every platform.
     """
-    if replication < 0 or not float(replication).is_integer():
+    if not _is_integral(replication) or replication < 0:
         raise DomainError(f"replication must be a nonnegative integer, got {replication}")
     block = _sum_blocks(pop.n, np.asarray(pop.rates), rng, int(replication), 1)
     return tuple(float(v) for v in block[0])

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorKind, EstimatorSpec, _check_c, _estimates, validate_improved
-from .model import PopulationSet, RngSpec, _check_counter, _check_n, _sum_blocks
+from .estimators import EstimatorSpec, _check_c, _estimates, validate_improved
+from .model import PopulationSet, RngSpec, _check_counter, _check_n, _is_integral, _sum_blocks
 from .numerics import DomainError, digamma, reg_inc_beta
 
 # Not called here; benchmarks/tracing.py patches both names on this module.
@@ -138,13 +138,6 @@ def _assemble(block_fn, replications: int, workers: int) -> np.ndarray:
     return np.concatenate([block_fn(s, c) for s, c in _blocks(replications)], axis=-1)
 
 
-def _validate_for(spec: EstimatorSpec, pop: PopulationSet) -> None:
-    if spec.kind is EstimatorKind.IMPROVED:
-        validate_improved(spec, pop.n, pop.k).raise_if_invalid(
-            f"estimator invalid for n={pop.n}, k={pop.k}"
-        )
-
-
 def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
     """Check the replication count once, draw each block's sums once, and
     assemble score(sums) over the blocks in block order.
@@ -152,7 +145,7 @@ def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
     A count whose draw counters overflow is rejected before the block list
     is built: at 2**62 replications that list alone would not fit in memory.
     """
-    if not float(replications).is_integer() or replications < 1:
+    if not _is_integral(replications) or replications < 1:
         raise DomainError(f"replications must be a positive integer, got {replications}")
     rates = np.asarray(rates, dtype=np.float64)
     _check_counter(0, int(replications), len(rates), n)
@@ -182,7 +175,7 @@ def mc_risks(
         return _losses_for_sums(specs, pop, sums)
 
     for spec in specs:
-        _validate_for(spec, pop)
+        validate_improved(spec, pop.n, pop.k)
     losses = _block_loop(pop.n, pop.rates, replications, rng, score)
     return tuple(
         _estimate_from_losses(row, rng.seed, spec.label()) for row, spec in zip(losses, specs)
@@ -222,8 +215,8 @@ def mc_dominance(
         loss_a, loss_b = _losses_for_sums((spec_a, spec_b), pop, sums)
         return loss_a - loss_b
 
-    _validate_for(spec_a, pop)
-    _validate_for(spec_b, pop)
+    validate_improved(spec_a, pop.n, pop.k)
+    validate_improved(spec_b, pop.n, pop.k)
     diffs = _block_loop(pop.n, pop.rates, replications, rng, score)
     est = _estimate_from_losses(diffs, rng.seed, f"{spec_a.label()} - {spec_b.label()}")
     return PairedComparison(

@@ -203,6 +203,12 @@ class TestBounds:
         assert payload["minimax_value"] == pytest.approx(0.0697313, abs=5e-8)
         assert [row["c_label"] for row in payload["sup_risk_bounds"]] == ["n-1", "n"]
 
+    def test_large_n(self, capsys):
+        # The incomplete beta at n = 1e6 used to exhaust its continued fraction.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000000")
+        assert code == 0 and err == ""
+        assert "admissible c interval: [999999, " in out
+
     def test_rejects_n1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "1")
         assert code == 1

@@ -103,6 +103,12 @@ class TestEstimatorSpecValidation:
         with pytest.raises(DomainError):
             EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=1)
 
+    @pytest.mark.parametrize("alpha", [None, 0.1])
+    def test_named_improved_rejects_fractional_h_count(self, alpha):
+        # 2.7 used to be truncated to h_count = 2 without a word.
+        with pytest.raises(DomainError, match="h_count must be an integer >= 2, got 2.7"):
+            n2_improved(5, 3, alpha=alpha, h_count=2.7)
+
     @pytest.mark.parametrize("c", [math.inf, math.nan])
     def test_rejects_nonfinite_c(self, c):
         with pytest.raises(DomainError, match="c must be positive and finite"):
@@ -166,7 +172,9 @@ class TestEvaluate:
 
     def test_rejects_invalid_improved_spec(self):
         bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.9, h_count=2)
-        with pytest.raises(DomainError, match="improved spec invalid for n=5, k=2"):
+        with pytest.raises(
+            DomainError, match=r"^i4:0\.9:2 at n=5, k=2: alpha above its upper bound"
+        ):
             estimate(bad, POP52, [(2.0, 1.0)])
 
     def test_rows_match_one_row_calls_to_the_bit(self):
@@ -321,39 +329,44 @@ class TestAlphaUpperBound:
 
 
 class TestValidateImproved:
+    """validate_improved returns None or raises a DomainError naming the
+    spec's label, n, k and the first broken condition: c, then h_count,
+    then alpha."""
+
     def test_boundary_alpha_accepted(self):
         spec = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=3.0 / 11.0, h_count=2)
-        assert validate_improved(spec, 5, 2).ok
+        assert validate_improved(spec, 5, 2) is None
 
     def test_alpha_above_bound_rejected_with_limit(self):
         spec = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.3, h_count=2)
-        result = validate_improved(spec, 5, 2)
-        assert not result.ok
-        violation = result.violations[0]
-        assert violation.limit == pytest.approx(3.0 / 11.0, abs=1e-15)
-        assert violation.actual == 0.3
+        with pytest.raises(
+            DomainError,
+            match=r"^i4:0\.3:2 at n=5, k=2: alpha above its upper bound "
+            r"\(limit 0\.272727, got 0\.3\)$",
+        ):
+            validate_improved(spec, 5, 2)
 
     def test_c_above_n_rejected(self):
         spec = EstimatorSpec(EstimatorKind.IMPROVED, 6.0, alpha=0.01, h_count=2)
-        result = validate_improved(spec, 5, 2)
-        assert not result.ok
-        assert any("c must lie" in v.condition for v in result.violations)
+        with pytest.raises(
+            DomainError, match=r"^i6:0\.01:2 at n=5, k=2: c must lie in \(0, n\] \(limit 5, got 6\)$"
+        ):
+            validate_improved(spec, 5, 2)
 
     def test_h_count_above_k_rejected(self):
         spec = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=3)
-        result = validate_improved(spec, 5, 2)
-        assert not result.ok
-
-    def test_requires_improved_kind(self):
-        with pytest.raises(DomainError):
-            validate_improved(n2(5), 5, 2)
-
-    def test_raise_if_invalid_names_first_violation(self):
-        bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.3, h_count=2)
         with pytest.raises(
-            DomainError,
-            match=r"^N2I: alpha above its upper bound \(limit 0\.272727, got 0\.3\)$",
+            DomainError, match=r"^i4:0\.1:3 at n=5, k=2: h_count must lie in \[2, k\] \(limit 2, got 3\)$"
         ):
-            validate_improved(bad, 5, 2).raise_if_invalid("N2I")
-        good = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.1, h_count=2)
-        assert validate_improved(good, 5, 2).raise_if_invalid("N2I") is None
+            validate_improved(spec, 5, 2)
+
+    def test_scale_inverse_spec_always_valid(self):
+        assert validate_improved(n2(5), 5, 2) is None
+        assert validate_improved(EstimatorSpec(EstimatorKind.SCALE_INVERSE, 60.0), 5, 2) is None
+
+    def test_names_first_violation(self):
+        # With all three broken, c is named; with h_count and alpha, h_count.
+        for c, h, condition in ((6.0, 3, "c must lie"), (4.0, 3, "h_count must lie")):
+            bad = EstimatorSpec(EstimatorKind.IMPROVED, c, alpha=0.9, h_count=h, name="N2I")
+            with pytest.raises(DomainError, match=rf"^N2I at n=5, k=2: {condition}"):
+                validate_improved(bad, 5, 2)

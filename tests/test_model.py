@@ -293,6 +293,16 @@ class TestCounterRange:
         with pytest.raises(DomainError, match="64-bit"):
             draw_sums(self.POP4, RNG, replication)
 
+    def test_index_beyond_float_range_rejected(self):
+        # float(10**400) used to raise OverflowError before the counter check.
+        with pytest.raises(DomainError, match="64-bit"):
+            draw_sums(self.POP4, RNG, 10**400)
+
+    def test_bool_index_rejected(self):
+        # True used to draw replication 1.
+        with pytest.raises(DomainError, match="replication must be a nonnegative integer"):
+            draw_sums(self.POP4, RNG, True)
+
     def test_block_reaching_past_the_counter_rejected(self):
         rates = np.asarray(self.POP4.rates)
         with pytest.raises(DomainError, match="64-bit"):

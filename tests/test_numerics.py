@@ -160,6 +160,16 @@ class TestRegIncBeta:
     def test_complement_identity(self, x, a, b):
         assert abs(reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    def test_continued_fraction_at_large_n(self, n):
+        # Past a + b - 1 = 4096 the integer case leaves the binomial sum; at
+        # x = 1/2 the fraction then needs 536 terms at n = 1e6 and 1146 at
+        # n = 1e7. 2 I_{1/2}(n, n-1) = 1 - C(2n-2, n-1) / 4^(n-1).
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            exact = (1 - mp.binomial(2 * n - 2, n - 1) / mp.mpf(4) ** (n - 1)) / 2
+        assert reg_inc_beta(0.5, n, n - 1) == pytest.approx(float(exact), rel=1e-8)
+
     def test_monotone_in_x(self):
         values = [reg_inc_beta(x / 20.0, 5, 4) for x in range(21)]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))

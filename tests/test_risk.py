@@ -201,6 +201,29 @@ class TestMcRisk:
         with pytest.raises(DomainError):
             mc_risk(bad, POP, 100, RNG)
 
+    def test_invalid_improved_spec_named_in_error(self):
+        bad = EstimatorSpec(EstimatorKind.IMPROVED, 4.0, alpha=0.3, h_count=2)
+        match = r"^i4:0\.3:2 at n=5, k=2: alpha above its upper bound \(limit 0\.272727, got 0\.3\)$"
+        with pytest.raises(DomainError, match=match):
+            mc_risk(bad, POP, 100, RNG)
+        with pytest.raises(DomainError, match=match):
+            mc_dominance(n2(5), bad, POP, 100, RNG)
+
+    def test_count_beyond_float_range_rejected(self):
+        # float(10**400) used to raise OverflowError before the counter check.
+        with pytest.raises(DomainError, match="overflow the 64-bit draw counter"):
+            mc_risk(n2(5), POP, 10**400, RNG)
+
+    def test_bool_count_rejected(self):
+        # True used to run one replication.
+        with pytest.raises(DomainError, match="replications must be a positive integer, got True"):
+            mc_risk(n2(5), POP, True, RNG)
+
+    def test_integral_counts_of_any_type_agree(self):
+        want = mc_risk(n2(5), POP, 50, RNG)
+        for reps in (np.int64(50), np.uint16(50), 50.0, np.float64(50.0)):
+            assert mc_risk(n2(5), POP, reps, RNG) == want
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mc_risk(n2(5), POP, 0, RNG)
