@@ -105,7 +105,12 @@ class RngSpec:
 
 
 def _check_n(n: int) -> None:
-    if not float(n).is_integer() or n < 2:
+    try:  # an int past the float range fails here, before any range(n) loop
+        valid = float(n).is_integer() and n >= 2
+    except OverflowError:
+        bits = n.bit_length()
+        raise DomainError(f"sample size n must be below 2**1024, got {bits} bits") from None
+    if not valid:
         raise DomainError(f"sample size n must be an integer >= 2, got {n}")
 
 

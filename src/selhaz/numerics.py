@@ -2,14 +2,16 @@
 
 Everything here is double precision and self-contained: ln-gamma (delegated
 to the C library through ``math.lgamma``), digamma via the asymptotic series
-after recurrence shifting, beta and regularized incomplete beta (binomial
-partial sum for integer parameters, Lentz continued fraction otherwise),
-the Erlang/gamma CDF for integer shape, and a Gauss-Kronrod G7/K15 adaptive
+after recurrence shifting, beta, the central binomial term behind the k = 2
+closed forms, regularized incomplete beta (Lentz continued fraction), the
+Erlang/gamma CDF for integer shape, and a Gauss-Kronrod G7/K15 adaptive
 integrator with an algebraic map for infinite upper limits.
 
 Accuracy targets: 1e-12 for ln_gamma on [0.5, 1e6], 1e-10 for digamma and
 the incomplete beta. These feed comparisons made at the 1e-6 level, so the
-headroom is two orders of magnitude or better.
+headroom is two orders of magnitude or better. Past a + b ~ 1e5 the
+incomplete beta's lgamma-difference prefactor misses its target by
+cancellation: I_{1/2}(n, n-1) is 9.4e-7 off (relative) at n = 1e9.
 
 All functions are pure and hold no state; they are safe to call from any
 number of threads.
@@ -104,30 +106,19 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-# Integer-parameter incomplete beta is an exact finite binomial sum; keep
-# that path for any m = a + b - 1 small enough to sum cheaply.
-_BINOMIAL_SUM_LIMIT = 4096
-
-
-def _reg_inc_beta_binomial(x: float, a: int, b: int) -> float:
-    # I_x(a, b) = P(Binomial(a+b-1, x) >= a), summed in log space so large
-    # m and extreme x cannot overflow.
-    m = a + b - 1
-    log_x = math.log(x)
-    log_1mx = math.log1p(-x)
-    log_comb_m = math.lgamma(m + 1)
-    terms = []
-    for j in range(a, m + 1):
-        log_t = (
-            log_comb_m
-            - math.lgamma(j + 1)
-            - math.lgamma(m - j + 1)
-            + j * log_x
-            + (m - j) * log_1mx
-        )
-        terms.append(math.exp(log_t))
-    s = math.fsum(terms)
-    return min(1.0, max(0.0, s))
+def _central_binomial_term(m: int, u: float) -> float:
+    """tau(m, u) = C(2m, m) (u(1-u))^m, the central term of Bin(2m, u), for
+    integer m >= 1 and 0 < u < 1, in log space. ln C(2m, m) is an lgamma
+    difference below m = 64. Past it that difference loses eps * m ln m to
+    cancellation (tau is 2% off at m = 1e13, exp overflows at 1e30), so the
+    series m ln 4 - ln(pi m)/2 - 1/(8m) + 1/(192 m^3) - 1/(640 m^5) is used."""
+    log_u = math.log(u) + math.log1p(-u)
+    if m < 64:
+        return math.exp(math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) + m * log_u)
+    z = 1.0 / m
+    series = z * (0.125 - z * z * (1.0 / 192.0 - z * z / 640.0))
+    log_central = -0.5 * (math.log(math.pi) + math.log(m)) - series
+    return math.exp(log_central + m * (math.log(4.0) + log_u))
 
 
 def _betacf(x: float, a: float, b: float) -> float:
@@ -178,8 +169,8 @@ def _betacf(x: float, a: float, b: float) -> float:
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
-    Exact binomial partial sum when a and b are integers, continued
-    fraction otherwise. Monotone in x with I_0 = 0 and I_1 = 1.
+    Lentz continued fraction, on I_x(a, b) or on 1 - I_{1-x}(b, a) past
+    the turning point. Monotone in x with I_0 = 0 and I_1 = 1.
     """
     if not (a > 0) or not (b > 0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got ({a}, {b})")
@@ -189,30 +180,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    if (
-        float(a).is_integer()
-        and float(b).is_integer()
-        and a + b - 1 <= _BINOMIAL_SUM_LIMIT
-    ):
-        return _reg_inc_beta_binomial(x, int(a), int(b))
-    # Continued-fraction prefactor x^a (1-x)^b / (a B(a, b)).
-    ln_front = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - math.log(a)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    )
-    front = math.exp(ln_front)
+    # Prefactor x^a (1-x)^b / (a B(a, b)), with b for a in the complement branch.
+    ln_power = a * math.log(x) + b * math.log1p(-x)
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     if x < (a + 1.0) / (a + b + 2.0):
-        val = front * _betacf(x, a, b)
+        val = math.exp(ln_power - math.log(a) - ln_beta) * _betacf(x, a, b)
     else:
-        ln_front_c = (
-            b * math.log1p(-x)
-            + a * math.log(x)
-            - math.log(b)
-            - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        )
-        val = 1.0 - math.exp(ln_front_c) * _betacf(1.0 - x, b, a)
+        val = 1.0 - math.exp(ln_power - math.log(b) - ln_beta) * _betacf(1.0 - x, b, a)
     return min(1.0, max(0.0, val))
 
 

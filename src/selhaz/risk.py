@@ -7,8 +7,8 @@ risk go through it.
 
 Closed forms implemented here, all for the selected-hazard problem:
 
-  * h_of_q: the equal-shape pair of regularized incomplete beta terms that
-    equals E[1/(sigma_J Y_J)] for two populations with rate ratio q.
+  * h_of_q: E[1/(sigma_J Y_J)] for two populations with rate ratio q, as
+    one minus the central term of a binomial law.
   * exact_risk_scaleinv_k2: risk of c/Y_J for k = 2 in closed form,
     c*h(q) - ln c + E[ln(sigma_J Y_J)] - 1, the expectation a finite sum
     of n negative-binomial-weighted digamma terms per population.
@@ -36,10 +36,10 @@ import numpy as np
 
 from .estimators import EstimatorSpec, _check_c, _estimates, validate_improved
 from .model import PopulationSet, RngSpec, _check_counter, _check_n, _is_integral, _sum_blocks
-from .numerics import DomainError, digamma, reg_inc_beta
+from .numerics import DomainError, _central_binomial_term, digamma
 
-# Not called here; benchmarks/tracing.py patches both names on this module.
-from .numerics import adaptive_quad, gamma_cdf  # noqa: F401
+# Not called here; benchmarks/tracing.py patches these names on this module.
+from .numerics import adaptive_quad, gamma_cdf, reg_inc_beta  # noqa: F401
 
 # Replications per block. Fixed: block boundaries are part of the
 # determinism contract.
@@ -266,22 +266,17 @@ def _estimate_from_losses(losses: np.ndarray, seed: int, label: str) -> RiskEsti
 def h_of_q(q: float, n: int) -> float:
     """E[1/(sigma_J Y_J)] for two populations with rate ratio q >= 1.
 
-    Equals [I_{q/(1+q)}(n, n-1) + I_{1/(1+q)}(n, n-1)] / (n - 1).
-    Increasing in q, from 2 I_{1/2}(n, n-1)/(n-1) at q = 1 toward the
-    component value 1/(n-1) as the rates separate. With u = 1/(1+q) the
-    two tails cover every Bin(2n-2, u) count but n-1, so the gap is
-
-        1/(n-1) - h(q) = C(2n-2, n-1) (u(1-u))^(n-1) / (n-1),
-
-    which is O(q^-(n-1)): at n = 2 it is 2u(1-u), still about 2e-6 at
-    q = 10^6.
+    Equals [I_{q/(1+q)}(n, n-1) + I_{1/(1+q)}(n, n-1)] / (n - 1). With
+    u = 1/(1+q) the two tails cover every Bin(2n-2, u) count but n-1, so it
+    is computed as (1 - C(2n-2, n-1) (u(1-u))^(n-1)) / (n - 1). Increasing in
+    q, from 2 I_{1/2}(n, n-1)/(n-1) at q = 1 toward the component value
+    1/(n-1) as the rates separate; the gap is O(q^-(n-1)): at n = 2 it is
+    2u(1-u), still about 2e-6 at q = 10^6.
     """
     _check_n(n)
     if not (1.0 <= q < math.inf):
         raise DomainError(f"rate ratio q must be finite and >= 1, got {q}")
-    upper = reg_inc_beta(q / (1.0 + q), n, n - 1)
-    lower = reg_inc_beta(1.0 / (1.0 + q), n, n - 1)
-    return (upper + lower) / (n - 1.0)
+    return (1.0 - _central_binomial_term(int(n) - 1, 1.0 / (1.0 + q))) / (n - 1.0)
 
 
 def _expected_log_selected(q: float, n: int) -> float:
@@ -335,8 +330,8 @@ def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:
     """Exact risk of c/Y_J for exactly two populations, in closed form.
 
     R = c h(q) - ln c + E[ln(sigma_J Y_J)] - 1 with q the rate ratio;
-    h is a pair of incomplete beta terms and the expectation a finite
-    sum of n terms per population (see _expected_log_selected). Both
+    h is one minus a central binomial term (see h_of_q) and the expectation
+    a finite sum of n terms per population (see _expected_log_selected). Both
     depend on the rates only through q, so scaling both rates leaves
     the risk unchanged, to the bit whenever q is unchanged.
     """

@@ -209,6 +209,12 @@ class TestBounds:
         assert code == 0 and err == ""
         assert "admissible c interval: [999999, " in out
 
+    def test_upper_end_at_n_1e9(self, capsys):
+        # c* = 1000017840.56; 2 I_{1/2}(n, n-1) by continued fraction gave 1000016896.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000000000")
+        assert code == 0 and err == ""
+        assert "admissible c interval: [999999999, 1000017841]" in out
+
     def test_rejects_n1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "1")
         assert code == 1
@@ -521,7 +527,7 @@ class TestGoldenBytes:
             ),
             (
                 ("bounds", "--n", "8", "--format", "json"),
-                "4b98b89e5f79fe1d34dc3ffe9f165214d1b3469ea32c9116095dfbfee418071a",
+                "25f4a39db851e14e9988a96b85ef3ea3e81bbdd40cd32bf72bdab2e5dd8c184d",
             ),
             (
                 ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
@@ -532,7 +538,7 @@ class TestGoldenBytes:
                     "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
                     "--seed", "9", "--format", "json",
                 ),
-                "cc93c8281f8bb910792149f1d887e2b410e0edca1980d9fb41b42d18f9f15f1a",
+                "c653c7f3a67fb17145e19d868cc3119a5b4b5cd833041dca42d7282eacc65de1",
             ),
             (
                 ("risk-table", "--format", "markdown"),

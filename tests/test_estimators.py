@@ -255,6 +255,28 @@ class TestAdmissibleRange:
         rng = admissible_range(n)
         assert rng.c_upper / (n - 1.0) > 1.0
 
+    @pytest.mark.parametrize("n", [10**5, 10**7, 10**9])
+    def test_upper_endpoint_at_large_n(self, n):
+        # c* = (n-1)/(1 - C(2n-2, n-1)/4^(n-1)); the continued fraction for
+        # 2 I_{1/2}(n, n-1) missed it by 3.6e-10, 4.4e-9 and 9.4e-7.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            exact = (n - 1) / (1 - mp.binomial(2 * n - 2, n - 1) / mp.mpf(4) ** (n - 1))
+        assert admissible_range(n).c_upper == pytest.approx(float(exact), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "n", [10**13, 10**16, 10**30, 10**300], ids=["1e13", "1e16", "1e30", "1e300"]
+    )
+    def test_upper_endpoint_past_the_lgamma_range(self, n):
+        # An lgamma difference for ln C(2n-2, n-1) loses eps n ln n here: the
+        # central term is 2% off at n = 1e13 and exp overflows at n = 1e30.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            m = mp.mpf(n - 1)
+            tau = mp.exp(mp.loggamma(2 * m + 1) - 2 * mp.loggamma(m + 1) - m * mp.log(4))
+            exact = m / (1 - tau)
+        assert admissible_range(n).c_upper == pytest.approx(float(exact), rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             admissible_range(1)

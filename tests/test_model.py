@@ -44,6 +44,11 @@ class TestPopulationSet:
         with pytest.raises(DomainError):
             PopulationSet(n=1, rates=(1.0, 2.0))
 
+    def test_rejects_n_beyond_float_range(self):
+        # float(10**400) used to escape as a raw OverflowError.
+        with pytest.raises(DomainError, match=r"sample size n must be below 2\*\*1024"):
+            PopulationSet(n=10**400, rates=(1.0, 1.0))
+
     @pytest.mark.parametrize("bad_rate", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_rates(self, bad_rate):
         with pytest.raises(DomainError):

@@ -141,8 +141,8 @@ class TestRegIncBeta:
         [(0.3, 2.5, 3.7), (0.7, 0.8, 2.2), (0.2, 6.5, 1.3), (0.9, 12.4, 0.6)],
     )
     def test_continued_fraction_against_quadrature(self, x, a, b):
-        # Non-integer parameters avoid the binomial fast path, so this
-        # pins the continued-fraction route to an independent integral.
+        # Non-integer parameters: this pins the continued fraction to an
+        # independent integral away from the integer oracles above.
         density_norm = beta_fn(a, b)
         quad_value = adaptive_quad(
             lambda v: v ** (a - 1.0) * (1.0 - v) ** (b - 1.0) / density_norm,
@@ -162,9 +162,8 @@ class TestRegIncBeta:
 
     @pytest.mark.parametrize("n", [10**6, 10**7])
     def test_continued_fraction_at_large_n(self, n):
-        # Past a + b - 1 = 4096 the integer case leaves the binomial sum; at
-        # x = 1/2 the fraction then needs 536 terms at n = 1e6 and 1146 at
-        # n = 1e7. 2 I_{1/2}(n, n-1) = 1 - C(2n-2, n-1) / 4^(n-1).
+        # At x = 1/2 the continued fraction needs 536 terms at n = 1e6 and
+        # 1146 at n = 1e7. 2 I_{1/2}(n, n-1) = 1 - C(2n-2, n-1) / 4^(n-1).
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             exact = (1 - mp.binomial(2 * n - 2, n - 1) / mp.mpf(4) ** (n - 1)) / 2

@@ -314,6 +314,23 @@ class TestHOfQ:
         with pytest.raises(DomainError):
             h_of_q(1.0, 1)
 
+    def test_n_beyond_float_range_names_n(self):
+        # float(10**400) used to escape as a raw OverflowError.
+        with pytest.raises(DomainError, match=r"sample size n must be below 2\*\*1024"):
+            h_of_q(2.0, 10**400)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, 10.0, 100.0, 1e4])
+    def test_against_50_digit_central_term(self, n, q):
+        # (1 - C(2n-2, n-1) (u(1-u))^(n-1)) / (n-1) with u = 1/(1+q), at the
+        # value of q itself; the sum of two incomplete beta tails missed it
+        # by up to 2.1e-13 at n = 200.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            u = 1 / (1 + mp.mpf(q))
+            exact = (1 - mp.binomial(2 * n - 2, n - 1) * (u * (1 - u)) ** (n - 1)) / (n - 1)
+        assert h_of_q(q, n) == pytest.approx(float(exact), rel=2e-14, abs=0)
+
     @pytest.mark.parametrize("q", [math.inf, math.nan])
     def test_nonfinite_ratio_names_q(self, q):
         with pytest.raises(DomainError, match="rate ratio q must be finite"):
