@@ -4,9 +4,10 @@ Select the population with the largest sample sum out of k exponential
 populations, then estimate its hazard rate. This package provides the
 scale-inverse estimator family c/Y_J and its improved corrections, with
 estimate() to evaluate any of them on rows of sums, the admissibility
-interval and minimax constants for two populations, exact k = 2 risks in
-closed form, and a deterministic Monte Carlo risk engine whose results are
-a pure function of the seed, stream and replication count.
+interval and minimax constants for two populations, exact k = 2 risks
+from a Beta(n, n) integral of the Monte Carlo kernel's conditional loss,
+and a deterministic Monte Carlo risk engine whose results are a pure
+function of the seed, stream and replication count.
 """
 
 __version__ = "0.1.0"
@@ -34,10 +35,8 @@ from .numerics import (
     QuadratureConvergenceError,
     QuadratureSpec,
     adaptive_quad,
-    beta_fn,
     digamma,
     gamma_cdf,
-    ln_gamma,
     reg_inc_beta,
 )
 from .risk import (
@@ -75,7 +74,6 @@ __all__ = [
     "admissible_range",
     "alpha_upper_bound",
     "bayes_risk",
-    "beta_fn",
     "classify_c",
     "digamma",
     "draw_sums",
@@ -85,7 +83,6 @@ __all__ = [
     "gamma_cdf",
     "gb_component_risk",
     "h_of_q",
-    "ln_gamma",
     "mc_dominance",
     "mc_risk",
     "mc_risk_component",

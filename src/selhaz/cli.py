@@ -457,7 +457,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 
 def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
-    """Closed-form exact risk for k = 2 next to its Monte Carlo cross-check."""
+    """Exact risk for k = 2 next to its Monte Carlo cross-check."""
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
     try:
@@ -502,7 +502,7 @@ _COMMANDS = {
     ), "n k reps seed format config out workers scales alpha h_count"),
     "plot-data": (cmd_plot_data, "risk series keyed by scale ratio", ("csv",), (),
                   "n k reps seed format config out workers scales estimators alpha h_count"),
-    "exact": (cmd_exact, "closed-form exact risk for k = 2 plus MC check", ("csv", "json"), (
+    "exact": (cmd_exact, "exact risk for k = 2 plus MC check", ("csv", "json"), (
         ("--c", dict(type=float, required=True, help="estimator constant")),
     ), "n reps seed format config out workers scales"),
 }

@@ -28,7 +28,7 @@ value psi(n) - ln(n-1). This form does not improve on c/Y_J uniformly.
 
 The selection rule and every estimate are defined once, vectorized over
 rows of sums, in _estimates. estimate() is its checked public form, and
-the Monte Carlo engine in risk scores its output directly.
+the Monte Carlo and exact k = 2 engines in risk score its output directly.
 """
 
 from __future__ import annotations

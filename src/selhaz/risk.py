@@ -1,17 +1,19 @@
-"""Entropy loss, closed-form risk quantities, and the Monte Carlo engine.
+"""Entropy loss, closed-form risk quantities, and the Monte Carlo and exact
+k = 2 engines.
 
 The loss is L(sigma_J, d) = d/sigma_J - ln(d/sigma_J) - 1: nonnegative,
 zero only at d = sigma_J, and harder on overestimation than underestimation.
 _entropy_losses is its one definition; entropy_loss and every Monte Carlo
 risk go through it.
 
+Both engines score the estimates of estimators._estimates. The exact one,
+_exact_risks_k2, integrates the conditional loss over a Beta(n, n) direction
+for any spec at k = 2; exact_risk_scaleinv_k2 is its checked form for c/Y_J.
+
 Closed forms implemented here, all for the selected-hazard problem:
 
   * h_of_q: E[1/(sigma_J Y_J)] for two populations with rate ratio q, as
     one minus the central term of a binomial law.
-  * exact_risk_scaleinv_k2: risk of c/Y_J for k = 2 in closed form,
-    c*h(q) - ln c + E[ln(sigma_J Y_J)] - 1, the expectation a finite sum
-    of n negative-binomial-weighted digamma terms per population.
   * gb_component_risk: Psi(n) - ln(n-1), the constant risk of the
     generalized Bayes rule in the single-population component problem and
     the minimax value of the selection problem with k = 2 populations.
@@ -29,14 +31,13 @@ thread before any reduction.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorSpec, _check_c, _estimates, validate_improved
+from .estimators import EstimatorKind, EstimatorSpec, _check_c, _estimates, validate_improved
 from .model import PopulationSet, RngSpec, _check_counter, _check_n, _is_integral, _sum_blocks
-from .numerics import DomainError, _central_binomial_term, digamma
+from .numerics import _WGK, _XGK, DomainError, _central_binomial_term, _psi_gap
 
 # Not called here; benchmarks/tracing.py patches these names on this module.
 from .numerics import adaptive_quad, gamma_cdf, reg_inc_beta  # noqa: F401
@@ -279,62 +280,61 @@ def h_of_q(q: float, n: int) -> float:
     return (1.0 - _central_binomial_term(int(n) - 1, 1.0 / (1.0 + q))) / (n - 1.0)
 
 
-def _expected_log_selected(q: float, n: int) -> float:
-    """E[ln(sigma_J Y_J)] for two populations with rate ratio q >= 1.
+# K15 on a panel [a, b]: nodes a * _GK_LOW + b * _GK_HIGH, weights (b - a) * _GK_W.
+_GK_HIGH = (1.0 + np.concatenate((np.negative(_XGK[:-1]), _XGK[::-1]))) / 2.0
+_GK_LOW = 1.0 - _GK_HIGH
+_GK_W = np.concatenate((_WGK[:-1], _WGK[::-1])) / 2.0
 
-    Population i wins with Y_i in dy with density g(y; sigma_i, n)
-    F(y; sigma_other, n). For integer n the Erlang CDF is
-    F(y; s, n) = 1 - exp(-s y) sum_{m<n} (s y)^m / m!, and each term
-    integrates in closed form, so with p_i = sigma_i / (sigma_1 + sigma_2)
 
-        E[ln(sigma_J Y_J)] = sum_i [psi(n) - sum_{m<n} C(n+m-1, m)
-                                    p_i^n (1-p_i)^m (psi(n+m) + ln p_i)].
+def _beta_reach(n: int, depth: float) -> float:
+    """The v < 1/2 where the Beta(n, n) kernel (4v(1-v))^(n-1) is e^-depth."""
+    s = -depth / (n - 1.0)
+    return 0.5 * math.exp(s) / (1.0 + math.sqrt(-math.expm1(s)))
 
-    Both shares come from q alone, so the result is a function of q.
+
+def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
+    """Exact risk of every spec at two populations.
+
+    With Z_i = sigma_i Y_i, V = Z_1/(Z_1 + Z_2) ~ Beta(n, n) is independent
+    of Z_1 + Z_2 ~ Gamma(2n, 1), and every estimate is scale-equivariant, so
+    E[L | V] = (y - 1 - ln y) + psi(2n) - ln(2n-1), y = e/(sigma_J (2n-1)),
+    e the estimate of _estimates on the row (V/sigma_1, (1-V)/sigma_2). K15
+    on fixed panels integrates it against (4v(1-v))^(n-1), over the rule's
+    own sum. Cuts: the selection switch u = sigma_lo/(sigma_lo + sigma_hi),
+    1/2 +- 2j sd, and 2^-i, 1 - 2^-i (toward the ends and a small u, where
+    estimates are singular) while that kernel is above e^-20; none below e^-40.
+
+    The rates enter as (1/sqrt(q), sqrt(q)): symmetric, bit-stable under a
+    power-of-2 factor, and no row over- or underflows at a finite q. y - 1 -
+    ln y is t - log1p(t), t = y - 1, which _entropy_losses rounds to 1.1e-16
+    (1.3e-12 of the risk at n = 2e4). Rounding y costs eps sqrt(n) relative
+    (4.6e-10 at n = 2**53), and past 2**53 leading digits.
     """
-    share_lo, share_hi = 1.0 / (1.0 + q), q / (1.0 + q)
-    psi_n = digamma(float(n))
-    total = 0.0
-    for p, rest in ((share_lo, share_hi), (share_hi, share_lo)):
-        # Negative-binomial weights and psi(n+m) advance by recurrence. The
-        # weight is weight * 2**scale, so a start p**n below the normal
-        # range (n >= 1075 at q = 1) neither underflows nor loses bits.
-        (weight, scale), psi, log_p, tail = _scaled_power(p, n), psi_n, math.log(p), 0.0
-        for m in range(n):
-            tail += math.ldexp(weight, scale) * (psi + log_p)
-            weight *= rest * (n + m) / (m + 1)
-            if weight > 2.0**512:
-                weight, scale = weight * 2.0**-512, scale + 512
-            psi += 1.0 / (n + m)
-        total += psi_n - tail
-    return total
-
-
-def _scaled_power(p: float, n: int) -> tuple[float, int]:
-    """(w, e) with w * 2**e = p**n for 0 < p < 1: (p**n, 0) when p**n is a
-    normal float, and otherwise w normal, from p's mantissa raised in
-    steps that cannot underflow."""
-    w = p**n
-    if w >= sys.float_info.min:
-        return w, 0
-    f, e = math.frexp(p)
-    w, scale = 1.0, e * n
-    # f >= 0.5, so f**1000 >= 2**-1000 is normal.
-    for done in range(0, n, 1000):
-        w, s = math.frexp(w * f ** min(1000, n - done))
-        scale += s
-    return w, scale
+    if n > 2**53:
+        raise DomainError(f"the exact k = 2 risk needs n <= 2**53, got n = {n}")
+    q = max(rates) / min(rates)
+    if not (q < math.inf):
+        raise DomainError(f"rate ratio q must be finite and >= 1, got {q}")
+    u, end, graded = 1.0 / (1.0 + q), _beta_reach(n, 40.0), _beta_reach(n, 20.0)
+    step = 1.0 / math.sqrt(2.0 * n + 1.0)  # two standard deviations
+    half_cuts = [end, 0.5, *(0.5 - j * step for j in range(1, int((0.5 - end) / step) + 1))]
+    half_cuts += [2.0**-i for i in range(2, math.ceil(-math.log2(graded)))]
+    cuts = np.array(sorted({*half_cuts, *(1.0 - x for x in half_cuts), *([u] if u > end else [])}))
+    v = (cuts[:-1, None] * _GK_LOW + cuts[1:, None] * _GK_HIGH).ravel()
+    # ln(4v(1-v)) = ln(2v) + log1p(1 - 2v), with 1 - 2v exact for v >= 1/4.
+    kernel = np.exp((n - 1.0) * (np.log(2.0 * v) + np.log1p(1.0 - 2.0 * v)))
+    weights = ((cuts[1:] - cuts[:-1])[:, None] * _GK_W).ravel() * kernel
+    root = math.sqrt(q)
+    y, jj = _estimates(specs, n, np.array([v * root, (1.0 - v) / root]).T)
+    y /= np.where(jj, (2.0 * n - 1.0) * root, (2.0 * n - 1.0) / root)
+    y -= 1.0
+    y -= np.log1p(y)
+    return (y @ weights) / weights.sum() + _psi_gap(2.0 * n - 1.0)
 
 
 def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:
-    """Exact risk of c/Y_J for exactly two populations, in closed form.
-
-    R = c h(q) - ln c + E[ln(sigma_J Y_J)] - 1 with q the rate ratio;
-    h is one minus a central binomial term (see h_of_q) and the expectation
-    a finite sum of n terms per population (see _expected_log_selected). Both
-    depend on the rates only through q, so scaling both rates leaves
-    the risk unchanged, to the bit whenever q is unchanged.
-    """
+    """Exact risk of c/Y_J for exactly two populations, by _exact_risks_k2:
+    a function of the rate ratio q alone, to the bit whenever q is unchanged."""
     rates = tuple(float(r) for r in rates)
     if len(rates) != 2:
         raise DomainError(f"exactly two rates required, got {len(rates)}")
@@ -343,15 +343,15 @@ def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:
             raise DomainError(f"rates must be finite and positive, got {r}")
     _check_c(c)
     _check_n(n)
-    q = max(rates) / min(rates)
-    return c * h_of_q(q, int(n)) - math.log(c) + _expected_log_selected(q, int(n)) - 1.0
+    spec = EstimatorSpec(EstimatorKind.SCALE_INVERSE, float(c))
+    return float(_exact_risks_k2((spec,), rates, int(n))[0])
 
 
 def gb_component_risk(n: int) -> float:
     """Psi(n) - ln(n-1): the generalized Bayes rule's constant component
     risk, and the minimax value of the selection problem at k = 2."""
     _check_n(n)
-    return digamma(float(n)) - math.log(n - 1.0)
+    return _psi_gap(n - 1.0)
 
 
 def bayes_risk(n: int, prior: BayesPrior) -> float:
@@ -363,22 +363,22 @@ def bayes_risk(n: int, prior: BayesPrior) -> float:
     """
     _check_n(n)
     if not (n + prior.shape > 1.0):
-        raise DomainError(
-            f"need n + shape > 1, got n={n}, shape={prior.shape}"
-        )
-    return digamma(n + prior.shape) - math.log(n + prior.shape - 1.0)
+        raise DomainError(f"need n + shape > 1, got n={n}, shape={prior.shape}")
+    return _psi_gap(n + prior.shape - 1.0)
 
 
 def sup_risk_scaleinv(c: float, n: int) -> float:
     """The q -> infinity limit of the k = 2 risk of c/Y_J, q the rate ratio.
 
-    c/(n-1) - ln c + Psi(n) - 1; equals the minimax value at c = n - 1
-    and exceeds it for every other c, which is what rules the other
-    scale-inverse members out of minimaxity. It is the supremum of the
-    risk over q only for c >= n - 1, which was checked numerically for
-    c in {n-1, n}. For smaller c it is not: at n = 5, c = 3 the exact
-    risk at q = 1 is 0.2156, above this limit of 0.1575.
+    c/(n-1) - ln c + Psi(n) - 1, as t - log1p(t) + Psi(n) - ln(n-1) with
+    t = c/(n-1) - 1, so nothing cancels at large n. It equals the minimax
+    value at c = n - 1 and exceeds it for every other c, which rules the
+    other scale-inverse members out of minimaxity. It is the supremum of
+    the risk over q only for c >= n - 1, which was checked numerically for
+    c in {n-1, n}: at n = 5, c = 3 the exact risk at q = 1 is 0.2156, above
+    this limit of 0.1575.
     """
     _check_c(c)
     _check_n(n)
-    return c / (n - 1.0) - math.log(c) + digamma(float(n)) - 1.0
+    t = (c - (n - 1.0)) / (n - 1.0)
+    return (t - math.log1p(t)) + _psi_gap(n - 1.0)

@@ -84,19 +84,21 @@ def h_tail_gap_oracle(q: Fraction | float, n: int) -> Fraction:
     return math.comb(2 * n - 2, n - 1) * (u * (1 - u)) ** (n - 1) / (n - 1)
 
 
-def expected_log_selected_oracle(q: float, n: int) -> float:
-    """E[ln(sigma_J Y_J)] at rates (1, q) by 40-digit mpmath quadrature.
+def _k2_oracle_mean(q: float, n: int, conditional):
+    """E[conditional(share, other, sigma_J, inv_s, log_s)] at rates (1, q),
+    an mpf from 40-digit mpmath quadrature over T = Y_1/(Y_1 + Y_2).
 
-    Uses T = Y_1/(Y_1 + Y_2), whose density is proportional to
-    t^(n-1) (1-t)^(n-1) / lam(t)^(2n) with lam(t) = t + q(1-t); given
-    T = t the total S is Gamma(2n, lam(t)), so E[ln S | t] =
-    psi(2n) - ln lam(t). Population 1 wins when t > 1/2, with
-    Y_1 = S t. No Erlang CDF enters, so this shares no step with a
-    finite-sum evaluation built on one. Needs mpmath.
+    T has density proportional to t^(n-1) (1-t)^(n-1) / lam(t)^(2n) with
+    lam(t) = t + q(1-t), and given T = t the total S is Gamma(2n, lam(t)),
+    so inv_s = E[1/S | t] = lam/(2n-1) and log_s = E[ln S | t] =
+    psi(2n) - ln lam. Population 1 wins when t > 1/2; share = Y_J/S and
+    other = 1 - share are passed exactly. No Erlang CDF enters, and no step
+    of a finite-sum or Beta(n, n) evaluation.
 
     Checked against a 50-digit finite sum only for q in [1, 1e9]; beyond
-    that the quadrature misses the mass (0.8846 at n = 5, q = 1e200, where
-    the value is psi(5) = 1.5061), so other q raise a ValueError.
+    that the quadrature misses the mass (0.8846 for E[ln(sigma_J Y_J)] at
+    n = 5, q = 1e200, where the value is psi(5) = 1.5061), so other q raise
+    a ValueError.
     """
     if not 1.0 <= q <= 1e9:
         raise ValueError(f"q = {q} lies outside [1, 1e9], where this oracle was checked")
@@ -107,24 +109,49 @@ def expected_log_selected_oracle(q: float, n: int) -> float:
         log_norm = n * mp.log(q) + mp.loggamma(2 * n) - 2 * mp.loggamma(n)
         psi_2n = mp.digamma(2 * n)
 
-        def weighted(log_sigma, log_share, log_t, log_1mt, lam):
+        def weighted(share, other, sigma, lam):
             log_lam = mp.log(lam)
-            density = mp.exp(log_norm + (n - 1) * (log_t + log_1mt) - 2 * n * log_lam)
-            return (log_sigma + log_share + psi_2n - log_lam) * density
+            density = mp.exp(log_norm + (n - 1) * mp.log(share * other) - 2 * n * log_lam)
+            inv_s, log_s = lam / (2 * n - 1), psi_2n - log_lam
+            return conditional(share, other, sigma, inv_s, log_s) * density
 
         def rate_1_wins(w):  # t = 1 - w, w in (0, 1/2)
-            log_t = mp.log1p(-w)
-            return weighted(0, log_t, log_t, mp.log(w), 1 - w + q * w)
+            return weighted(1 - w, w, 1, 1 - w + q * w)
 
         def rate_q_wins(t):  # t in (0, 1/2)
-            log_1mt = mp.log1p(-t)
-            return weighted(mp.log(q), log_1mt, mp.log(t), log_1mt, t + q * (1 - t))
+            return weighted(1 - t, t, q, t + q * (1 - t))
 
         half = mp.mpf(1) / 2
         # The mass of 1 - T sits near 1/q; a cut there keeps the peak resolved.
         cuts = [1 / q] if 1 / q < half else []
-        total = mp.quad(rate_1_wins, [0, *cuts, half]) + mp.quad(rate_q_wins, [0, half])
-        return float(total)
+        return mp.quad(rate_1_wins, [0, *cuts, half]) + mp.quad(rate_q_wins, [0, half])
+
+
+def expected_log_selected_oracle(q: float, n: int) -> float:
+    """E[ln(sigma_J Y_J)] at rates (1, q). Needs mpmath; q in [1, 1e9]
+    (see _k2_oracle_mean)."""
+    import mpmath as mp
+
+    def conditional(share, other, sigma, inv_s, log_s):
+        return mp.log(sigma * share) + log_s
+
+    return float(_k2_oracle_mean(q, n, conditional))
+
+
+def k2_risk_oracle(c: float, q: float, n: int, alpha: float = 0.0) -> float:
+    """Risk at rates (1, q) of c/Y_J + alpha (2n-1)/(2 sqrt(Y_1 Y_2)), the
+    scale-inverse estimator at alpha = 0 and the improved form with
+    h = k = 2 otherwise, written out here rather than taken from the
+    library. Given T = t the estimate is e(t)/S. Needs mpmath; q in
+    [1, 1e9] (see _k2_oracle_mean).
+    """
+    import mpmath as mp
+
+    def conditional(share, other, sigma, inv_s, log_s):
+        e = c / share + alpha * (2 * n - 1) / (2 * mp.sqrt(share * other))
+        return e / sigma * inv_s - mp.log(e / sigma) + log_s - 1
+
+    return float(_k2_oracle_mean(q, n, conditional))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,15 @@ class TestBounds:
         assert code == 0 and err == ""
         assert "admissible c interval: [999999999, 1000017841]" in out
 
+    def test_minimax_and_sup_digits_at_n_1e9(self, capsys):
+        # 40-digit values 5.000000004e-10 and 5.000000009e-10. Taken by
+        # subtraction, psi(n) - ln(n-1) printed 5.000018177e-10 for both.
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000000000")
+        assert code == 0 and err == ""
+        assert "minimax value: 5.000000004e-10" in out
+        assert "c = n-1 = 1e+09: 5.000000004e-10" in out
+        assert "c = n = 1e+09: 5.000000009e-10" in out
+
     def test_rejects_n1(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "1")
         assert code == 1
@@ -365,6 +374,15 @@ class TestExact:
         assert code == 1
         assert "scale" in err
 
+
+    def test_large_n_prints_the_right_digits(self, capsys):
+        # 5.000041667e-06 by a 40-digit integral; the finite negative-binomial
+        # sum printed 5.000076118e-06.
+        code, out, err = run_cli(
+            capsys, "exact", "--c", "99999", "--n", "100000", "--scales", "0.1,1", "--reps", "2"
+        )
+        assert code == 0 and err == ""
+        assert "exact risk = 5.000041667e-06" in out
 
 class TestBuildEstimator:
     def test_named_case_insensitive(self):
@@ -527,7 +545,7 @@ class TestGoldenBytes:
             ),
             (
                 ("bounds", "--n", "8", "--format", "json"),
-                "25f4a39db851e14e9988a96b85ef3ea3e81bbdd40cd32bf72bdab2e5dd8c184d",
+                "75ac3693fe85a53745b7cc29c019802763364746544d5be882762b4ddca7d142",
             ),
             (
                 ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
@@ -538,7 +556,7 @@ class TestGoldenBytes:
                     "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
                     "--seed", "9", "--format", "json",
                 ),
-                "c653c7f3a67fb17145e19d868cc3119a5b4b5cd833041dca42d7282eacc65de1",
+                "a2816f0cb7d5f5560c7684b1202b8a95a93760fbed1aea43a948ae2df1f1575a",
             ),
             (
                 ("risk-table", "--format", "markdown"),

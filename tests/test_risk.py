@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from selhaz.risk import (
     PairedComparison,
     RiskEstimate,
     _blocks,
-    _expected_log_selected,
+    _exact_risks_k2,
     _losses_for_sums,
     bayes_risk,
     entropy_loss,
@@ -62,6 +63,7 @@ from conftest import (
     entropy_loss_oracle,
     estimate_oracle,
     expected_log_selected_oracle,
+    k2_risk_oracle,
     selected_index_oracle,
 )
 
@@ -391,22 +393,89 @@ class TestExactRisk:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 20, 60])
     @pytest.mark.parametrize("q", [1.0, 1.5, 5.0, 1e2, 1e4, 1e6, 1e9])
     def test_expected_log_matches_mpmath_oracle(self, n, q):
+        # E[ln(sigma_J Y_J)] enters the risk with weight one, so the risks of
+        # N2 and ML pin it: here against the risk written out in conftest and
+        # integrated over T = Y_1/S, which shares no step with the engine.
         pytest.importorskip("mpmath")
-        oracle = expected_log_selected_oracle(q, n)
-        assert abs(_expected_log_selected(q, n) - oracle) <= 1e-13
+        for c in (n - 1.0, float(n)):
+            want = k2_risk_oracle(c, q, n)
+            assert abs(exact_risk_scaleinv_k2(c, (1.0, q), n) - want) <= 1e-14
 
-    @pytest.mark.parametrize("n", [1074, 1075, 3000])
+    @pytest.mark.parametrize("n", [1000, 1074, 1075, 3000, 20000])
     @pytest.mark.parametrize("q", [1.0, 1.5, 1e2])
     def test_expected_log_large_n_matches_mpmath_oracle(self, n, q):
-        # The start weight p**n is subnormal at n = 1074, q = 1 and 0 from
-        # n = 1075. The rounding of the shares p enters as p**n, so it grows
-        # with n: at n = 3000, q = 1e2, where no weight leaves the normal
-        # range, the sum misses the oracle by 2.1e-13, and by 9e-16 an exact
-        # sum over the same rounded shares. So these cases get 5e-13 where
-        # the small-n grid above gets 1e-13.
+        # The risk of N2 is about 1/(2n), so this is relative: the loss is
+        # near 0 over the whole Beta(n, n) bulk. The finite sum this engine
+        # replaced was 2.4e-7 off at n = 2e4.
         pytest.importorskip("mpmath")
-        oracle = expected_log_selected_oracle(q, n)
-        assert abs(_expected_log_selected(q, n) - oracle) <= 5e-13
+        want = k2_risk_oracle(n - 1.0, q, n)
+        assert exact_risk_scaleinv_k2(n - 1.0, (1.0, q), n) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("q", [1e100, 1e300, 1.7e308])
+    def test_extreme_ratio_reaches_the_sup_limit(self, n, q):
+        # O(q^-(n-1)) below the q -> infinity limit, which is below 1e-100
+        # here; nothing in the engine may warn, overflow or return NaN.
+        for c in (n / 2.0, n - 1.0, float(n)):
+            risk = exact_risk_scaleinv_k2(c, (1.0, q), n)
+            assert math.isfinite(risk)
+            assert risk == pytest.approx(sup_risk_scaleinv(c, n), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, scales", [(2, (1.0, 1.0)), (3, (0.3, 1.0)), (5, (0.3, 0.2)), (8, (1.0, 0.1))]
+    )
+    def test_improved_specs_match_the_mpmath_oracle(self, n, scales):
+        # N2I and MLI come out of the same engine with no code of their
+        # own: held to the improved form written out in conftest.
+        pytest.importorskip("mpmath")
+        rates = tuple(1.0 / s for s in scales)
+        q = max(rates) / min(rates)
+        specs = (n2_improved(n, 2), ml_improved(n, 2))
+        for spec, risk in zip(specs, _exact_risks_k2(specs, rates, n)):
+            want = k2_risk_oracle(spec.c, q, n, spec.alpha)
+            assert risk == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_improved_n5_reference_cell(self):
+        # N2I at n=5, scales (0.3, 0.2): 0.0694732468770542 by a 30-digit
+        # mpmath integral.
+        (risk,) = _exact_risks_k2((n2_improved(5, 2),), (1 / 0.3, 1 / 0.2), 5)
+        assert risk == pytest.approx(0.0694732468770542, rel=0, abs=2e-15)
+
+    @pytest.mark.parametrize("scales", [(0.3, 0.2), (1.0, 1.0), (0.5, 1.0)])
+    def test_improved_specs_agree_with_mc_risks_within_4_se(self, scales):
+        pop = PopulationSet(n=5, rates=tuple(1.0 / s for s in scales))
+        specs = (n2(5), ml(5), n2_improved(5, 2), ml_improved(5, 2))
+        exact = _exact_risks_k2(specs, pop.rates, pop.n)
+        for est, risk in zip(mc_risks(specs, pop, 200_000, RNG), exact):
+            assert abs(est.mean - risk) < 4.0 * est.std_error
+
+    def test_engine_is_symmetric_in_the_rates_for_every_spec(self):
+        specs = (n1(5), n2(5), ml(5), n2_improved(5, 2), ml_improved(5, 2))
+        a = _exact_risks_k2(specs, (2.0, 3.0), 5)
+        assert np.array_equal(a, _exact_risks_k2(specs, (3.0, 2.0), 5))
+        assert np.array_equal(a, _exact_risks_k2(specs, (2.0**-30 * 2.0, 2.0**-30 * 3.0), 5))
+
+    def test_estimates_come_from_the_monte_carlo_kernel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_estimates called")
+
+        monkeypatch.setattr(selhaz.risk, "_estimates", forbidden)
+        with pytest.raises(AssertionError, match="_estimates called"):
+            exact_risk_scaleinv_k2(4.0, (1.0, 3.0), 5)
+
+    def test_n_past_2_pow_53_is_a_domain_error(self):
+        assert math.isfinite(exact_risk_scaleinv_k2(4.0, (1.0, 2.0), 2**53))
+        with pytest.raises(DomainError, match=r"needs n <= 2\*\*53"):
+            exact_risk_scaleinv_k2(4.0, (1.0, 2.0), 2**53 + 2)
+
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    def test_cost_does_not_grow_with_n(self, n):
+        # The finite sum took 0.63 s at n = 1e6 and 69 s at n = 1e8; the
+        # panel count here does not depend on n once the kernel is narrow.
+        start = time.perf_counter()
+        risk = exact_risk_scaleinv_k2(n - 1.0, (1.0, 2.0), n)
+        assert time.perf_counter() - start < 0.05
+        assert risk == pytest.approx(sup_risk_scaleinv(n - 1.0, n), rel=1e-12)
 
     @pytest.mark.parametrize("q", [0.5, 2e9, 1e200])
     def test_oracle_refuses_unchecked_ratios(self, q):
@@ -469,6 +538,21 @@ class TestClosedFormRisks:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_component_minimax_value(self, n):
         assert gb_component_risk(n) == pytest.approx(gb_oracle(n), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**9])
+    def test_large_n_against_mpmath(self, n):
+        # psi(n) - ln(n-1) by subtraction was 1.7e-11, 9.7e-10 and 3.6e-6
+        # off (relative) at these n.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            gap = mp.digamma(n) - mp.log(n - 1)
+            sup_at_n = mp.mpf(n) / (n - 1) - mp.log(n) + mp.digamma(n) - 1
+            bayes = mp.digamma(n + 2.5) - mp.log(n + 1.5)
+        assert gb_component_risk(n) == pytest.approx(float(gap), rel=1e-12, abs=0)
+        assert sup_risk_scaleinv(float(n - 1), n) == gb_component_risk(n)
+        assert sup_risk_scaleinv(float(n), n) == pytest.approx(float(sup_at_n), rel=1e-12, abs=0)
+        prior = BayesPrior(shape=2.5, rate=1.0)
+        assert bayes_risk(n, prior) == pytest.approx(float(bayes), rel=1e-12, abs=0)
 
     def test_named_values(self):
         # psi(5) - ln 4 and psi(8) - ln 7 rounded to seven places.
