@@ -16,6 +16,7 @@ grid in _run, and the JSON or text report in _report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -508,7 +509,12 @@ _COMMANDS = {
 }
 
 
+# parse_args keeps no state between calls, and building the tree takes
+# several times the work of an exact command, so main reuses one parser.
+# Nothing else in this module is kept across calls.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="selhaz",
         description="Estimation after selection for exponential hazard rates.",

@@ -308,7 +308,9 @@ def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
     power-of-2 factor, and no row over- or underflows at a finite q. y - 1 -
     ln y is t - log1p(t), t = y - 1, which _entropy_losses rounds to 1.1e-16
     (1.3e-12 of the risk at n = 2e4). Rounding y costs eps sqrt(n) relative
-    (4.6e-10 at n = 2**53), and past 2**53 leading digits.
+    (4.6e-10 at n = 2**53), and past 2**53 leading digits. A risk beyond the
+    float range, such as that of c/Y_J at c = 1e308, is a DomainError that
+    names the spec.
     """
     if n > 2**53:
         raise DomainError(f"the exact k = 2 risk needs n <= 2**53, got n = {n}")
@@ -325,11 +327,18 @@ def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
     kernel = np.exp((n - 1.0) * (np.log(2.0 * v) + np.log1p(1.0 - 2.0 * v)))
     weights = ((cuts[1:] - cuts[:-1])[:, None] * _GK_W).ravel() * kernel
     root = math.sqrt(q)
-    y, jj = _estimates(specs, n, np.array([v * root, (1.0 - v) / root]).T)
-    y /= np.where(jj, (2.0 * n - 1.0) * root, (2.0 * n - 1.0) / root)
-    y -= 1.0
-    y -= np.log1p(y)
-    return (y @ weights) / weights.sum() + _psi_gap(2.0 * n - 1.0)
+    # An estimate beyond the float range makes y inf and its loss NaN. The
+    # check below names the spec; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, jj = _estimates(specs, n, np.array([v * root, (1.0 - v) / root]).T)
+        y /= np.where(jj, (2.0 * n - 1.0) * root, (2.0 * n - 1.0) / root)
+        y -= 1.0
+        y -= np.log1p(y)
+        risks = (y @ weights) / weights.sum() + _psi_gap(2.0 * n - 1.0)
+    if not np.isfinite(risks).all():
+        i = int(np.argmin(np.isfinite(risks)))
+        raise DomainError(f"{specs[i].label()}: exact risk is not finite, got {risks[i]:g}")
+    return risks
 
 
 def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:

@@ -19,7 +19,7 @@ from selhaz.cli import (
     read_config_file,
     serialize_config,
 )
-from selhaz.cli import _build_parser, config_from_args
+from selhaz.cli import _COMMANDS, _build_parser, config_from_args
 
 
 def run_cli(capsys, *argv):
@@ -487,6 +487,17 @@ class TestOneConfigPath:
         assert err.startswith("error: scales: 1e-200,1e+200: N2I")
         assert "Monte Carlo risk is not finite" in err and err.count("\n") == 1
 
+    def test_exact_overflowing_risk_names_the_estimator(self, capsys):
+        # c = 1e308 is finite, but its exact risk is not: one error line
+        # naming the estimator, and no warning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "exact", "--c", "1e308", "--scales", "1,2", "--reps", "50"
+            )
+        assert code == 1 and out == ""
+        assert err == "error: c1e+308: exact risk is not finite, got nan\n"
+
     def test_exact_infinite_constant_rejected(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--c", "inf", "--scales", "1,1")
         assert code == 1 and out == ""
@@ -513,78 +524,112 @@ class TestOneConfigPath:
         assert err.startswith("error: reps:")
 
 
+# Output bytes pinned to sha256 digests, by test id: argv and digest.
+GOLDEN = {
+    "risk-table-default": (
+        ("risk-table",),
+        "b984e7af9310cac05657541444da087e318c3d6a090cb707b2e2e7f5b8b8ed21",
+    ),
+    "plot-data": (
+        (
+            "plot-data", "--scales", "0.9,0.3;0.2,0.4;1,1", "--reps", "300",
+            "--seed", "11", "--estimators", "N2,c4.5,i4:0.1:2",
+        ),
+        "6de8fdd1eca0773e39fee2092f0e431f95b504946d41ebc26df556b678710fa8",
+    ),
+    "dominance-k5": (
+        (
+            "dominance", "N2I", "N2", "--n", "3", "--k", "5", "--h-count", "3",
+            "--workers", "2", "--reps", "9000",
+            "--scales", "1,0.5,0.8,0.3,0.6;1,1,1,1,1", "--seed", "3",
+        ),
+        "15d08eec77396c0ac162d3bded44fdfc4d945825eab3c49b0678e84d54a8fb34",
+    ),
+    "bounds-n5": (
+        ("bounds", "--n", "5"),
+        "fc9eb884b84cdc63ae0b79e9e86d326bf7f1dd4c03638d2ff698f4cda418ad39",
+    ),
+    "bounds-n8-json": (
+        ("bounds", "--n", "8", "--format", "json"),
+        "a8a7a85d3380a6829ff9f163f712b98f2861e1205eb4e7fdc83fe764af466ec6",
+    ),
+    "exact-text": (
+        ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
+        "9f6dfeed811265c5714e75fa907e7e2514ca51e0d669fc27b7e72fa0909d46ae",
+    ),
+    "exact-json": (
+        (
+            "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
+            "--seed", "9", "--format", "json",
+        ),
+        "a2816f0cb7d5f5560c7684b1202b8a95a93760fbed1aea43a948ae2df1f1575a",
+    ),
+    "risk-table-markdown": (
+        ("risk-table", "--format", "markdown"),
+        "39f1229c5702a94a03f8f503a732974fd9738b1b08e462216cf33c1e3e8d80a7",
+    ),
+    "risk-table-json": (
+        ("risk-table", "--format", "json"),
+        "c5d272e9517bf81a3ffecac1994d2a01587cadbb21ed183d23e3c1c865c3daa7",
+    ),
+    "dominance-markdown": (
+        ("dominance", "N2", "N1", "--reps", "300", "--format", "markdown"),
+        "bd8730e606c81527f6e96040d9d929da8ba8103ceab7f63bcd5ab98f3a27dc03",
+    ),
+    "dominance-json": (
+        ("dominance", "N2", "N1", "--reps", "300", "--format", "json"),
+        "c8bba980ef0d9eb722cd830580270f19f7be6d252a343dcfe499726f2ec335bb",
+    ),
+}
+
+
+def assert_digest(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestGoldenBytes:
     """Output bytes pinned to sha256 digests; any change to the sampler,
     the loss kernel, block assembly or rendering shows up here."""
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("risk-table",),
-                "b984e7af9310cac05657541444da087e318c3d6a090cb707b2e2e7f5b8b8ed21",
-            ),
-            (
-                (
-                    "plot-data", "--scales", "0.9,0.3;0.2,0.4;1,1", "--reps", "300",
-                    "--seed", "11", "--estimators", "N2,c4.5,i4:0.1:2",
-                ),
-                "6de8fdd1eca0773e39fee2092f0e431f95b504946d41ebc26df556b678710fa8",
-            ),
-            (
-                (
-                    "dominance", "N2I", "N2", "--n", "3", "--k", "5", "--h-count", "3",
-                    "--workers", "2", "--reps", "9000",
-                    "--scales", "1,0.5,0.8,0.3,0.6;1,1,1,1,1", "--seed", "3",
-                ),
-                "15d08eec77396c0ac162d3bded44fdfc4d945825eab3c49b0678e84d54a8fb34",
-            ),
-            (
-                ("bounds", "--n", "5"),
-                "fc9eb884b84cdc63ae0b79e9e86d326bf7f1dd4c03638d2ff698f4cda418ad39",
-            ),
-            (
-                ("bounds", "--n", "8", "--format", "json"),
-                "75ac3693fe85a53745b7cc29c019802763364746544d5be882762b4ddca7d142",
-            ),
-            (
-                ("exact", "--c", "4", "--scales", "1,1", "--reps", "500"),
-                "9f6dfeed811265c5714e75fa907e7e2514ca51e0d669fc27b7e72fa0909d46ae",
-            ),
-            (
-                (
-                    "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
-                    "--seed", "9", "--format", "json",
-                ),
-                "a2816f0cb7d5f5560c7684b1202b8a95a93760fbed1aea43a948ae2df1f1575a",
-            ),
-            (
-                ("risk-table", "--format", "markdown"),
-                "39f1229c5702a94a03f8f503a732974fd9738b1b08e462216cf33c1e3e8d80a7",
-            ),
-            (
-                ("risk-table", "--format", "json"),
-                "c5d272e9517bf81a3ffecac1994d2a01587cadbb21ed183d23e3c1c865c3daa7",
-            ),
-            (
-                ("dominance", "N2", "N1", "--reps", "300", "--format", "markdown"),
-                "bd8730e606c81527f6e96040d9d929da8ba8103ceab7f63bcd5ab98f3a27dc03",
-            ),
-            (
-                ("dominance", "N2", "N1", "--reps", "300", "--format", "json"),
-                "c8bba980ef0d9eb722cd830580270f19f7be6d252a343dcfe499726f2ec335bb",
-            ),
-        ],
-        ids=[
-            "risk-table-default", "plot-data", "dominance-k5", "bounds-n5", "bounds-n8-json",
-            "exact-text", "exact-json",
-            "risk-table-markdown", "risk-table-json", "dominance-markdown", "dominance-json",
-        ],
-    )
+    @pytest.mark.parametrize("argv, digest", list(GOLDEN.values()), ids=list(GOLDEN))
     def test_output_digest(self, capsys, argv, digest):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert_digest(capsys, argv, digest)
+
+
+class TestRepeatedCalls:
+    """main can be called again and again in one process: each call's output
+    depends on its argv alone, and the parser is built once."""
+
+    def test_calls_are_independent_of_earlier_calls(self, capsys):
+        for argv, digest in GOLDEN.values():
+            assert_digest(capsys, argv, digest)
+        # A usage error, --help, and a config error in between.
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--c", "4", "--no-such-flag"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["risk-table", "--help"])
+        assert exc.value.code == 0
+        assert run_cli(capsys, "risk-table", "--reps", "0")[0] == 1
+        for argv, digest in reversed(GOLDEN.values()):
+            assert_digest(capsys, argv, digest)
+
+    def test_parser_is_built_once_for_many_calls(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _build_parser.cache_clear()
+        for _ in range(20):
+            assert run_cli(capsys, "bounds", "--n", "5")[0] == 0
+        # One tree: the top-level parser and one subparser per command.
+        assert len(built) == 1 + len(_COMMANDS)
 
 
 class TestSavedConfigRoundTrip:

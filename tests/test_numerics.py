@@ -58,16 +58,25 @@ class TestDigamma:
 class TestPsiGap:
     """psi(m+1) - ln m against 60-digit mpmath, on both sides of x = 10,
     where the recurrence gives way to the series. The series' first omitted
-    term is 8e-16 at x = 10, 1.5e-14 of the gap there."""
+    term is 4.4e-17 at x = 10, 8e-16 of the gap there."""
+
+    @staticmethod
+    def mpmath_gap(m):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            return float(mp.digamma(mp.mpf(m) + 1) - mp.log(mp.mpf(m)))
 
     @pytest.mark.parametrize(
         "m", [0.25, 1.0, 4.0, 7.0, 8.5, 9.0, 9.5, 10.0, 99.0, 1e4, 1e6, 1e9, 1e15]
     )
     def test_matches_mpmath(self, m):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(60):
-            want = mp.digamma(mp.mpf(m) + 1) - mp.log(mp.mpf(m))
-        assert _psi_gap(m) == pytest.approx(float(want), rel=2e-14, abs=0)
+        assert _psi_gap(m) == pytest.approx(self.mpmath_gap(m), rel=2e-14, abs=0)
+
+    @pytest.mark.parametrize("m", [4.0, 9.0, 10.0, 99.0])
+    def test_within_1e_15_of_mpmath(self, m):
+        # The z^7 term of the tail, B_14/14 = 1/12, is what brings m = 9 and
+        # m = 10 within 1e-15; without it they are 1.5e-14 and 4.4e-15 off.
+        assert _psi_gap(m) == pytest.approx(self.mpmath_gap(m), rel=1e-15, abs=0)
 
     def test_finite_at_the_top_of_the_float_range(self):
         # Past m ~ 1e16 the gap is 1/(2m) to within rounding.

@@ -725,6 +725,17 @@ class TestNonFiniteInputs:
             # The plain estimate is scale free: its risk stays finite.
             assert math.isfinite(mc_risk(n2(5), pop, 200, RNG).std_error)
 
+    def test_overflowing_exact_risk_names_the_estimator(self):
+        # c = 1e308 over a small selected sum overflows the estimate; the
+        # loss would be inf - inf = NaN. A DomainError, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"c1e\+308: exact risk is not finite"):
+                exact_risk_scaleinv_k2(1e308, (1.0, 2.0), 5)
+            big = EstimatorSpec(EstimatorKind.SCALE_INVERSE, 1e308, name="huge")
+            with pytest.raises(DomainError, match="^huge: exact risk is not finite"):
+                _exact_risks_k2((n2(5), big), (1.0, 2.0), 5)
+
 
 
 class TestCounterOverflowBeforeBlocks:
