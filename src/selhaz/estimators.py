@@ -197,8 +197,13 @@ def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     The work runs over the k columns of sums, each a whole-block vector:
     free for the F-ordered sampler output, one copy for C-ordered sums.
-    Selection is k - 1 passes of a strict '>', which keeps the lowest index
-    on ties. ln X is _pairwise_sum over the logs of the h largest sums,
+    Selection is k - 1 branch-free passes, one per later column i: a mask
+    of cols[i] > Y_J, then Y_J = max(Y_J, cols[i]) and J = max(J, i * mask).
+    i exceeds every earlier J, so J moves exactly where the strict '>'
+    holds and ties keep the lowest index; the maximum returns one of its
+    inputs, so Y_J has the bits of the selected sum. Sums are positive and
+    finite (estimate() rejects anything else), so no NaN reaches the
+    maximum. ln X is _pairwise_sum over the logs of the h largest sums,
     largest first, divided by h: the arithmetic of np.mean on each sorted
     row, so every bit matches a row-by-row evaluation.
     """
@@ -207,10 +212,12 @@ def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     yj = cols[0].copy()
     jj = np.zeros(rows, dtype=np.intp)
     above = np.empty(rows, dtype=bool)
+    cand = np.empty(rows, dtype=np.intp)
     for i in range(1, k):
         np.greater(cols[i], yj, out=above)
-        np.copyto(yj, cols[i], where=above)
-        np.copyto(jj, i, where=above)
+        np.maximum(yj, cols[i], out=yj)
+        np.multiply(above, i, out=cand)
+        np.maximum(jj, cand, out=jj)
     hs = sorted({spec.h_count for spec in specs if spec.kind is EstimatorKind.IMPROVED})
     h_times_x = {}
     if hs:

@@ -73,15 +73,17 @@ def _uniforms(
     key + first * _GOLDEN gives every input. work and scratch are
     contiguous uint64 buffers of ramp's shape; the result is scratch
     viewed as float64.
-    Top 53 bits, centered: values lie strictly inside (0, 1), so log(u) is
-    always finite.
+    Top 53 bits m, as (m + 0.5) * 2**-53: values lie in (0, 1], so log(u)
+    is always finite. Past m = 2**52 the half rounds to even, and the top
+    value m = 2**53 - 1 gives exactly 1.0, a zero exponential draw.
     """
     np.add(ramp, _U64((int(key) + first * int(_GOLDEN)) % 2**64), out=work)
     _mix64(work, scratch)
     work >>= _U64(11)
     u = scratch.view(np.float64)
-    # Exact: every value is below 2**53.
-    np.copyto(u, work, casting="unsafe")
+    # Exact: every value is below 2**53, so the int64 view holds the same
+    # value, and numpy converts int64 to float64 faster than uint64.
+    np.copyto(u, work.view(np.int64), casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     return u

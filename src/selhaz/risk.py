@@ -165,8 +165,10 @@ def mc_risks(
 ) -> tuple[RiskEstimate, ...]:
     """Monte Carlo risks of several estimators on the same draws.
 
-    Each block's sums are drawn once and every spec is scored on them, so
-    entry i equals mc_risk(specs[i], ...) to the last bit.
+    Each block's sums are drawn once and every spec is scored on them, and
+    the (specs, reps) losses reduce to means and standard errors in one
+    _estimate_from_losses pass, so entry i equals mc_risk(specs[i], ...)
+    to the last bit.
     """
     specs = tuple(specs)
     if not specs:
@@ -178,9 +180,7 @@ def mc_risks(
     for spec in specs:
         validate_improved(spec, pop.n, pop.k)
     losses = _block_loop(pop.n, pop.rates, replications, rng, score)
-    return tuple(
-        _estimate_from_losses(row, rng.seed, spec.label()) for row, spec in zip(losses, specs)
-    )
+    return _estimate_from_losses(losses, rng.seed, [spec.label() for spec in specs])
 
 
 def mc_risk(
@@ -219,7 +219,8 @@ def mc_dominance(
     validate_improved(spec_a, pop.n, pop.k)
     validate_improved(spec_b, pop.n, pop.k)
     diffs = _block_loop(pop.n, pop.rates, replications, rng, score)
-    est = _estimate_from_losses(diffs, rng.seed, f"{spec_a.label()} - {spec_b.label()}")
+    label = f"{spec_a.label()} - {spec_b.label()}"
+    (est,) = _estimate_from_losses(diffs[None], rng.seed, [label])
     return PairedComparison(
         mean_diff=est.mean, std_error_diff=est.std_error, replications=est.replications
     )
@@ -243,25 +244,42 @@ def mc_risk_component(
         return _entropy_losses((c / sums[:, 0]) / rate)
 
     losses = _block_loop(int(n), (rate,), replications, rng, score)
-    return _estimate_from_losses(losses, rng.seed, f"c{c:g}")
+    return _estimate_from_losses(losses[None], rng.seed, [f"c{c:g}"])[0]
 
 
-def _estimate_from_losses(losses: np.ndarray, seed: int, label: str) -> RiskEstimate:
-    """Mean and standard error of losses; label names the estimate in errors.
+def _estimate_from_losses(losses: np.ndarray, seed: int, labels) -> tuple[RiskEstimate, ...]:
+    """Mean and standard error of each row of a (rows, reps) loss array.
 
-    A mean or standard error beyond the float range is a DomainError, not
-    an inf cell: losses near 1e154 already overflow the variance's squares.
+    labels names the rows in errors. Every row is reduced in one pass with
+    the operations of np.mean and np.std(ddof=1) on that row alone (a
+    pairwise sum over the row, then the sum of squared deviations from
+    the mean), so each estimate has the bits of the row-by-row form. A
+    single replication has a standard error of 0.
+
+    A mean or standard error beyond the float range is a DomainError
+    naming the first such row, not an inf cell: losses near 1e154 already
+    overflow the variance's squares.
     """
-    n_reps = losses.shape[0]
+    n_reps = losses.shape[1]
     # The check below reports the overflow; numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(losses.mean())
-        se = float(losses.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise DomainError(
-            f"{label}: Monte Carlo risk is not finite (mean {mean:g}, std error {se:g})"
-        )
-    return RiskEstimate(mean=mean, std_error=se, replications=n_reps, seed=seed)
+        means = np.add.reduce(losses, axis=1)
+        means /= n_reps
+        dev = losses - means[:, None]
+        np.multiply(dev, dev, out=dev)
+        ses = np.add.reduce(dev, axis=1)
+        # One replication: its deviation is 0, so the divisor 1 gives SE 0.
+        ses /= max(n_reps - 1, 1)
+        np.sqrt(ses, out=ses)
+        ses /= math.sqrt(n_reps)
+    out = []
+    for mean, se, label in zip(means.tolist(), ses.tolist(), labels):
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise DomainError(
+                f"{label}: Monte Carlo risk is not finite (mean {mean:g}, std error {se:g})"
+            )
+        out.append(RiskEstimate(mean=mean, std_error=se, replications=n_reps, seed=seed))
+    return tuple(out)
 
 
 def h_of_q(q: float, n: int) -> float:

@@ -214,6 +214,32 @@ class TestColumnKernel:
         np.testing.assert_array_equal(jj, np.argmax(sums, axis=1))
         np.testing.assert_array_equal(est, 4.0 / sums.max(axis=1))
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+    def test_selection_matches_first_row_maximum(self, k):
+        # Continuous sums with ties forced in: a later column duplicating an
+        # earlier one, rows of equal sums, and rows whose maximum recurs in
+        # a later column. The reference takes J row by row as the first
+        # index of the row maximum, and Y_J as that entry.
+        gen = np.random.default_rng(100 + k)
+        sums = gen.gamma(5.0, size=(900, k))
+        sums[:300, k - 1] = sums[:300, 0]
+        sums[300:400] = sums[300:400, :1]
+        for r in range(400, 900):
+            first = int(np.argmax(sums[r]))
+            if first < k - 1:
+                sums[r, gen.integers(first + 1, k)] = sums[r, first]
+        c = 3.7
+        spec = EstimatorSpec(EstimatorKind.SCALE_INVERSE, c)
+        ref_j = np.array([row.tolist().index(max(row.tolist())) for row in sums])
+        ref_yj = sums[np.arange(len(sums)), ref_j]
+        assert len(set(ref_j.tolist())) > 1
+        for layout in (np.ascontiguousarray(sums), np.asfortranarray(sums)):
+            (est,), jj = _estimates((spec,), 5, layout)
+            assert jj.dtype == np.intp
+            np.testing.assert_array_equal(jj, ref_j)
+            assert layout[np.arange(len(sums)), jj].tobytes() == ref_yj.tobytes()
+            assert est.tobytes() == np.divide(c, ref_yj).tobytes()
+
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_layouts_and_single_rows_agree_to_the_bit(self, k):
         n = 4

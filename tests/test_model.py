@@ -14,14 +14,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import selhaz.model
 from selhaz.estimators import EstimatorKind, EstimatorSpec, _estimates, estimate, n2
 from selhaz.model import (
     PopulationSet,
     RngSpec,
     _CHUNK_DRAWS,
+    _GOLDEN,
     _check_counter,
+    _mix64,
     _pairwise_sum,
+    _ramp,
+    _stream_key,
     _sum_blocks,
+    _uniforms,
     draw_sums,
 )
 from selhaz.numerics import DomainError, gamma_cdf
@@ -383,6 +389,40 @@ class TestSamplerMemory:
                 _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
 
         assert self._peak(call) < 64 * 1024
+
+
+class TestUniformConversion:
+    """_uniforms converts the top 53 hash bits through an int64 view; every
+    value is below 2**53, so the result has the bits of the unsigned form."""
+
+    @staticmethod
+    def _unsigned(bits: np.ndarray) -> np.ndarray:
+        u = bits.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
+
+    def test_edge_values_match_unsigned_conversion(self, monkeypatch):
+        # With the hash replaced by the identity, a zero key and counter,
+        # the ramp itself is the hash output, so each m << 11 comes out as m.
+        m = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
+        monkeypatch.setattr(selhaz.model, "_mix64", lambda z, tmp: z)
+        ramp = m << np.uint64(11)
+        work, scratch = np.empty_like(ramp), np.empty_like(ramp)
+        u = _uniforms(np.uint64(0), 0, ramp, work, scratch)
+        assert u.tobytes() == self._unsigned(m).tobytes()
+        # (2**53 - 0.5) rounds to even, so the top value is exactly 1.0.
+        assert u.min() > 0.0 and u[-1] == u.max() == 1.0
+
+    def test_hashed_draws_match_unsigned_conversion(self):
+        ramp = _ramp(5, 3, 1000)
+        work, scratch = np.empty_like(ramp), np.empty_like(ramp)
+        key = _stream_key(7, 2)
+        u = _uniforms(key, 123 * 15, ramp, work, scratch).copy()
+        bits = ramp + np.uint64((int(key) + 123 * 15 * int(_GOLDEN)) % 2**64)
+        _mix64(bits, np.empty_like(bits))
+        bits >>= np.uint64(11)
+        assert u.tobytes() == self._unsigned(bits).tobytes()
 
 
 class TestPairwiseSum:

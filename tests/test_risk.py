@@ -44,6 +44,7 @@ from selhaz.risk import (
     PairedComparison,
     RiskEstimate,
     _blocks,
+    _estimate_from_losses,
     _exact_risks_k2,
     _losses_for_sums,
     bayes_risk,
@@ -694,6 +695,33 @@ class TestMcRisks:
             mc_risks((n2(5),), POP, 0, RNG)
 
 
+class TestLossStatistics:
+    """_estimate_from_losses reduces every row of a (rows, reps) array at
+    once, with the bits of numpy's mean and std(ddof=1) on each row."""
+
+    @pytest.mark.parametrize("reps", [2, 7, 129, 5000, 4096 + 11])
+    def test_rows_match_numpy_mean_and_std(self, reps):
+        # Magnitudes over eight decades, so the order of additions shows.
+        gen = np.random.default_rng(reps)
+        losses = gen.exponential(size=(5, reps)) * 10.0 ** gen.integers(-4, 5, (5, reps))
+        got = _estimate_from_losses(losses, 9, list("abcde"))
+        assert len(got) == 5
+        for row, est in zip(losses, got):
+            assert est.mean == float(row.mean())
+            assert est.std_error == float(row.std(ddof=1) / math.sqrt(reps))
+            assert est.replications == reps and est.seed == 9
+
+    def test_one_replication_has_zero_standard_error(self):
+        losses = np.array([[0.25], [3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _estimate_from_losses(losses, 1, ["a", "b"])
+        assert [(e.mean, e.std_error, e.replications) for e in got] == [
+            (0.25, 0.0, 1),
+            (3.0, 0.0, 1),
+        ]
+
+
 class TestNonFiniteInputs:
     """An infinite constant or rate is a DomainError, never a NaN risk."""
 
@@ -720,6 +748,11 @@ class TestNonFiniteInputs:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="N2I: Monte Carlo risk is not finite"):
                 mc_risks((n2(5), n2_improved(5, 2)), pop, 200, RNG)
+            # c = 1e308 over sums near 1: the mean's sum overflows, and the
+            # first spec listed is the one named.
+            big = EstimatorSpec(EstimatorKind.SCALE_INVERSE, 1e308)
+            with pytest.raises(DomainError, match=r"^c1e\+308: Monte Carlo risk is not finite"):
+                mc_risks((big, n2(5)), POP, 200, RNG)
             with pytest.raises(DomainError, match="N2I - N2: Monte Carlo risk is not finite"):
                 mc_dominance(n2_improved(5, 2), n2(5), pop, 200, RNG)
             # The plain estimate is scale free: its risk stays finite.
