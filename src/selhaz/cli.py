@@ -10,7 +10,7 @@ but the engine runs every block on one thread whatever its value.
 
 Each part of the surface is stated once: every option in _OPTIONS, every
 subcommand and the formats it prints in _COMMANDS, the walk over the scale
-grid in _run, and the JSON or text report in _report.
+grid in _run, exact's one row too, and the JSON or text report in _report.
 """
 
 from __future__ import annotations
@@ -458,29 +458,28 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 
 def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
-    """Exact risk for k = 2 next to its Monte Carlo cross-check."""
+    """Exact risk of c/Y_J for k = 2 next to its Monte Carlo cross-check, on
+    the one row _run walks: q, h(q) and both risks come from its populations."""
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
     try:
         spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
     except DomainError as exc:
         raise ConfigError(f"c: {exc}") from exc
-    n = cfg.n
-    # The rates _run derives, checked for their ratio before any draw.
-    rates = tuple(1.0 / s for s in cfg.scales_grid[0])
-    q = max(rates) / min(rates)
-    try:
-        h_val = h_of_q(q, n)
-    except DomainError as exc:
-        raise ConfigError(f"scales: {exc}") from exc
-    exact = exact_risk_scaleinv_k2(c, rates, n)
-    ((scales, est),) = _run(cfg, mc_risk, spec)
-    meta = dict(n=n, c=c, scales=list(scales), replications=cfg.replications, seed=cfg.seed)
+
+    # Both engines are looked up here at call time, so wrappers set on this module see them.
+    def engine(spec, pop, reps, rng):
+        q = max(pop.rates) / min(pop.rates)
+        return (q, h_of_q(q, pop.n), exact_risk_scaleinv_k2(c, pop.rates, pop.n),
+                mc_risk(spec, pop, reps, rng))
+
+    ((scales, (q, h_val, exact, est)),) = _run(cfg, engine, spec)
+    meta = dict(n=cfg.n, c=c, scales=list(scales), replications=cfg.replications, seed=cfg.seed)
     body = dict(
         q=q, h_of_q=h_val, exact_risk=exact, mc_risk=est.mean, mc_std_error=est.std_error
     )
     lines = [
-        f"n = {n}, c = {c:g}, scales = ({scales[0]:g}, {scales[1]:g})",
+        f"n = {cfg.n}, c = {c:g}, scales = ({scales[0]:g}, {scales[1]:g})",
         f"q (rate ratio) = {q:.10g}",
         f"h(q) = {h_val:.10g}",
         f"exact risk = {exact:.10g}",

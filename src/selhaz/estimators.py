@@ -245,7 +245,9 @@ def estimate(spec: EstimatorSpec, pop: PopulationSet, sums) -> np.ndarray:
     """The spec's estimate of sigma_J on each row of sums. Always positive.
 
     sums has shape (rows, k) for the k populations of pop, every entry
-    finite and positive; the result has one estimate per row.
+    finite and positive; the result has one estimate per row. Sums so
+    small or large that an estimate overflows or underflows to 0 are a
+    DomainError naming the spec and the first such row.
     """
     validate_improved(spec, pop.n, pop.k)
     sums = np.asarray(sums, dtype=np.float64)
@@ -254,7 +256,17 @@ def estimate(spec: EstimatorSpec, pop: PopulationSet, sums) -> np.ndarray:
     bad = ~((sums > 0) & np.isfinite(sums))
     if bad.any():
         raise DomainError(f"sums must be finite and positive, got {sums[bad][0]}")
-    return _estimates((spec,), pop.n, sums)[0][0]
+    # The check below reports an overflow; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", divide="ignore"):
+        est = _estimates((spec,), pop.n, sums)[0][0]
+    bad = ~((est > 0) & np.isfinite(est))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{spec.label()}: estimate is not finite and positive at row {i} "
+            f"{tuple(sums[i].tolist())}, got {est[i]:g}"
+        )
+    return est
 
 
 def admissible_range(n: int) -> AdmissibleRange:

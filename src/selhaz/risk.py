@@ -105,10 +105,11 @@ def _entropy_losses(x: np.ndarray) -> np.ndarray:
 
 def entropy_loss(d: float, sigma_selected: float) -> float:
     """d/sigma - ln(d/sigma) - 1; zero exactly when d equals sigma."""
-    if not (d > 0):
-        raise DomainError(f"estimate d must be positive, got {d}")
-    if not (sigma_selected > 0):
-        raise DomainError(f"sigma_selected must be positive, got {sigma_selected}")
+    if not (d > 0 and sigma_selected > 0 and 0 < d / sigma_selected < math.inf):
+        raise DomainError(
+            "d, sigma_selected and d/sigma_selected must be positive and finite, "
+            f"got d = {d:g}, sigma_selected = {sigma_selected:g}"
+        )
     return float(_entropy_losses(np.array([d / sigma_selected]))[0])
 
 
@@ -154,7 +155,9 @@ def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
     def block(rep_start: int, count: int) -> np.ndarray:
         return score(_sum_blocks(n, rates, rng, rep_start, count))
 
-    return _assemble(block, int(replications), 1)
+    # Overflow ends in an inf or NaN mean, which _estimate_from_losses reports.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _assemble(block, int(replications), 1)
 
 
 def mc_risks(
@@ -361,17 +364,13 @@ def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
 
 def exact_risk_scaleinv_k2(c: float, rates, n: int) -> float:
     """Exact risk of c/Y_J for exactly two populations, by _exact_risks_k2:
-    a function of the rate ratio q alone, to the bit whenever q is unchanged."""
-    rates = tuple(float(r) for r in rates)
+    a function of the rate ratio q alone, to the bit whenever q is unchanged.
+    PopulationSet checks n and the rates, and EstimatorSpec checks c."""
     if len(rates) != 2:
         raise DomainError(f"exactly two rates required, got {len(rates)}")
-    for r in rates:
-        if not (r > 0) or math.isinf(r):
-            raise DomainError(f"rates must be finite and positive, got {r}")
-    _check_c(c)
-    _check_n(n)
+    pop = PopulationSet(n, rates)
     spec = EstimatorSpec(EstimatorKind.SCALE_INVERSE, float(c))
-    return float(_exact_risks_k2((spec,), rates, int(n))[0])
+    return float(_exact_risks_k2((spec,), pop.rates, pop.n)[0])
 
 
 def gb_component_risk(n: int) -> float:

@@ -73,6 +73,12 @@ def entropy_loss_oracle(d: float, sigma: float) -> float:
     return x - math.log(x) - 1.0
 
 
+def erlang2_cdf_oracle(y: float) -> float:
+    """P(Y <= y) for Y ~ Gamma(2, 1), the sum of two unit exponentials:
+    1 - e^(-y) (1 + y), written out rather than taken from the library."""
+    return 1.0 - math.exp(-y) * (1.0 + y)
+
+
 def h_tail_gap_oracle(q: Fraction | float, n: int) -> Fraction:
     """1/(n-1) - h(q) at q >= 1, exact in the value of q.
 

@@ -472,7 +472,9 @@ class TestOneConfigPath:
         # Both scales and their rates are finite, but the ratio overflows.
         code, out, err = run_cli(capsys, "exact", "--c", "4", "--scales", "1e-200,1e200")
         assert code == 1 and out == ""
-        assert err == "error: scales: rate ratio q must be finite and >= 1, got inf\n"
+        assert err == (
+            "error: scales: 1e-200,1e+200: rate ratio q must be finite and >= 1, got inf\n"
+        )
 
     @pytest.mark.parametrize("command", [("risk-table",), ("dominance", "N2I", "N2")])
     def test_overflowing_risk_names_scales_and_estimator(self, capsys, command):
@@ -496,7 +498,20 @@ class TestOneConfigPath:
                 capsys, "exact", "--c", "1e308", "--scales", "1,2", "--reps", "50"
             )
         assert code == 1 and out == ""
-        assert err == "error: c1e+308: exact risk is not finite, got nan\n"
+        assert err == "error: scales: 1,2: c1e+308: exact risk is not finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "command", [("risk-table",), ("dominance", "N2", "ML"), ("exact", "--c", "4")]
+    )
+    def test_overflowing_draws_name_scales_without_warnings(self, capsys, command):
+        # A scale of 1e308 is a rate of 1e-308: the exponential draws
+        # overflow. One error line naming the row, and no warning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *command, "--scales", "1e308,1", "--reps", "50")
+        assert code == 1 and out == ""
+        assert err.startswith("error: scales: 1e+308,1: ") and err.count("\n") == 1
+        assert "Monte Carlo risk is not finite" in err
 
     def test_exact_infinite_constant_rejected(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--c", "inf", "--scales", "1,1")

@@ -8,6 +8,7 @@ of the symmetric incomplete beta value.
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,26 @@ class TestEvaluate:
             DomainError, match=r"^i4:0\.9:2 at n=5, k=2: alpha above its upper bound"
         ):
             estimate(bad, POP52, [(2.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "spec, sums, row, value",
+        [
+            # c/Y_J at Y_J = 1e-320 overflows; the first row is fine.
+            (n2(5), [(1.0, 2.0), (1e-320, 1e-321)], 1, "inf"),
+            # The correction's geometric mean is subnormal: 1/X overflows.
+            (n2_improved(5, 2), [(1e-320, 5e-324)], 0, "inf"),
+            # The smallest c over Y_J = 2 rounds to 0.
+            (EstimatorSpec(EstimatorKind.SCALE_INVERSE, 5e-324), [(2.0, 1.0)], 0, "0"),
+        ],
+    )
+    def test_estimate_beyond_the_float_range_names_spec_and_row(self, spec, sums, row, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                estimate(spec, POP52, sums)
+        assert str(info.value).startswith(f"{spec.label()}: estimate is not finite")
+        first = sums[row]
+        assert f"at row {row} ({first[0]!r}, {first[1]!r}), got {value}" in str(info.value)
 
     def test_rows_match_one_row_calls_to_the_bit(self):
         # A row's estimate must not depend on the rows computed with it,

@@ -30,8 +30,9 @@ from selhaz.model import (
     _uniforms,
     draw_sums,
 )
-from selhaz.numerics import DomainError, gamma_cdf
+from selhaz.numerics import DomainError
 from selhaz.risk import _losses_for_sums, entropy_loss
+from conftest import erlang2_cdf_oracle
 
 POP = PopulationSet(n=5, rates=(1.0, 2.0))
 RNG = RngSpec(seed=1, stream_id=0)
@@ -131,12 +132,12 @@ class TestDrawSums:
         assert abs(means.mean() - 0.5) <= 4.0 * se
 
     def test_kolmogorov_smirnov_against_gamma_cdf(self):
-        # Empirical CDF of Y_1 for (sigma=1, n=2) against the closed form;
-        # 1% critical value for the KS statistic is 1.628/sqrt(N).
+        # Empirical CDF of Y_1 for (sigma=1, n=2) against the Erlang closed
+        # form; 1% critical value for the KS statistic is 1.628/sqrt(N).
         reps = 10_000
         sums = _sum_blocks(2, np.asarray([1.0, 1.0]), RngSpec(seed=4), 0, reps)
         y = np.sort(sums[:, 0])
-        theo = np.asarray([gamma_cdf(v, 1.0, 2) for v in y])
+        theo = np.asarray([erlang2_cdf_oracle(v) for v in y])
         empirical_hi = np.arange(1, reps + 1) / reps
         empirical_lo = np.arange(0, reps) / reps
         ks = max(

@@ -113,6 +113,22 @@ class TestEntropyLoss:
         with pytest.raises(DomainError):
             entropy_loss(1.0, -1.0)
 
+    @pytest.mark.parametrize("d, sigma", [(1e308, 1e-308), (5e-324, 1e300)])
+    def test_ratio_beyond_the_float_range_names_d_and_sigma(self, d, sigma):
+        # d/sigma overflows to inf or underflows to 0: the loss would be NaN
+        # or inf. A DomainError naming both, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                entropy_loss(d, sigma)
+        assert f"d = {d:g}, sigma_selected = {sigma:g}" in str(info.value)
+
+    def test_large_finite_ratio(self):
+        # x - ln x - 1 at x = 1e305 is x to within 1e-302 relative.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entropy_loss(1e300, 1e-5) == pytest.approx(1e305, rel=1e-15)
+
 
 def assert_kernel_matches_oracles(specs, pop: PopulationSet, sums: np.ndarray) -> None:
     """Each estimate against estimate_oracle, the selection against
