@@ -38,6 +38,7 @@ from .estimators import (
 from .model import PopulationSet, RngSpec, _check_counter
 from .numerics import DomainError
 from .risk import (
+    _check_exact_n,
     exact_risk_scaleinv_k2,
     gb_component_risk,
     h_of_q,
@@ -462,6 +463,10 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
     the one row _run walks: q, h(q) and both risks come from its populations."""
     if cfg.scales_grid is None or len(cfg.scales_grid) != 1 or cfg.k != 2:
         raise ConfigError("scales: the exact command needs one scale pair, --scales s1,s2")
+    try:
+        _check_exact_n(cfg.n)
+    except DomainError as exc:
+        raise ConfigError(f"n: {exc}") from exc
     try:
         spec = EstimatorSpec(kind=EstimatorKind.SCALE_INVERSE, c=c, name=f"c{c:g}")
     except DomainError as exc:

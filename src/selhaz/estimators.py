@@ -184,12 +184,15 @@ def _ordered(cols: np.ndarray) -> np.ndarray:
     return ordered
 
 
-def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _estimates(
+    specs, n: int, sums: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Every spec's estimate of sigma_J on each row of sums, and J per row.
 
     The one definition of the selection rule and of each estimate. sums has
-    shape (rows, k); the result is a (len(specs), rows) array of estimates
-    and the selected 0-based index of each row. The largest sum is
+    shape (rows, k); the result is a (len(specs), rows) array of estimates,
+    out if given and else a new one, and the selected 0-based index of
+    each row. The largest sum is
     selected, ties going to the lowest index: a tie is a probability-zero
     event for continuous sums, but the rule must still be deterministic.
     The geometric mean X of the h largest sums is computed once per
@@ -232,7 +235,8 @@ def _estimates(specs, n: int, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             np.exp(x, out=x)
             x *= h
             h_times_x[h] = x
-    out = np.empty((len(specs), rows))
+    if out is None:
+        out = np.empty((len(specs), rows))
     for row, spec in zip(out, specs):
         np.divide(spec.c, yj, out=row)
         if spec.kind is EstimatorKind.IMPROVED:

@@ -16,11 +16,20 @@ hashed and summed is free, and _sum_blocks lays them out population-major
 so that the sum over the sample is a few whole-chunk vector additions.
 Those additions follow numpy's pairwise summation order (_pairwise_sum),
 so the sums have the bits of a row-wise numpy sum.
+
+Memory is free too, since no uniform depends on which buffer held the one
+before it. The counter ramp of a full chunk is built once per (n, k) and
+cached read-only (_chunk_ramp), and each thread keeps one _Workspace whose
+block-sized buffers the Monte Carlo engine reuses across blocks and calls,
+so a steady run allocates no block-sized array but its result.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,43 @@ _STREAM_SALT = _U64(0xD1B54A32D192ED03)
 # Draws per sampler chunk: three uint64 buffers of this length (384 KiB in
 # all) serve every chunk of a block. Only speed depends on it, not the bits.
 _CHUNK_DRAWS = 16384
+
+# A workspace buffer larger than this is handed out but not kept.
+_KEEP_BYTES = 1 << 20
+
+
+class _Workspace(threading.local):
+    """One thread's reusable buffers, one per role, each grown on demand.
+
+    take(role, shape) returns a view of the role's buffer, which the next
+    take of that role on this thread overwrites; a caller copies out what
+    must outlive it. Scratch that never leaves a function (the sampler's
+    two hash buffers, the logs of _entropy_losses) always comes from here;
+    results do only when the Monte Carlo engine passes them as out=, and
+    _assemble copies each block out, so no buffer escapes an engine call.
+
+    Memory: a buffer above _KEEP_BYTES (1 MiB) is not kept, so a thread
+    holds at most 1 MiB per role. The roles are the hash work and scratch
+    (8 * max(_CHUNK_DRAWS, k * n) bytes each, 128 KiB up to k * n = 16384),
+    a block's (k, 4096) sums and its (rows, 4096) estimates and logs, so
+    256 KiB + 32 KiB * (k + 2 * rows) in all: 544 KiB at k = 5 with two
+    estimators, 640 KiB at k = 2 with five.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = np.empty(size, dtype)
+            if buf.nbytes <= _KEEP_BYTES:
+                self.buffers[role] = buf
+        return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -134,7 +180,7 @@ class PopulationSet:
         _check_n(self.n)
         object.__setattr__(self, "n", int(self.n))
         for r in self.rates:
-            if not (r > 0) or not np.isfinite(r):
+            if not (0 < r < math.inf):  # NaN fails it too
                 raise DomainError(f"every rate must be finite and positive, got {r}")
 
     @property
@@ -190,6 +236,16 @@ def _ramp(n: int, k: int, m: int) -> np.ndarray:
     return first + steps[:, None, None]
 
 
+@functools.lru_cache(maxsize=16)
+def _chunk_ramp(n: int, k: int) -> np.ndarray:
+    """The read-only ramp of one full chunk, max(1, _CHUNK_DRAWS // (k * n))
+    replications, built once per (n, k); a shorter chunk uses its leading
+    view. Each entry holds at most 8 * max(_CHUNK_DRAWS, k * n) bytes."""
+    ramp = _ramp(n, k, max(1, _CHUNK_DRAWS // (k * n)))
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _is_integral(x) -> bool:
     """Whether x is an int, a numpy integer or an integral float; a bool is
     not. An int is never converted to float, so a count beyond the float
@@ -214,7 +270,12 @@ def _check_counter(rep_start: int, rep_end: int, k: int, n: int) -> None:
 
 
 def _sum_blocks(
-    n: int, rates: np.ndarray, rng: RngSpec, rep_start: int, count: int
+    n: int,
+    rates: np.ndarray,
+    rng: RngSpec,
+    rep_start: int,
+    count: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sums Y_i for replications [rep_start, rep_start + count), shape (count, k).
 
@@ -229,23 +290,27 @@ def _sum_blocks(
     of m replications is hashed in (observation, population, replication)
     memory order, so each observation j is one row of k * m draws and the
     sum over the sample is n - 1 additions of whole rows, in numpy's
-    pairwise order. The sums go into a (k, count) array, and the result is
+    pairwise order. The sums go into a (k, count) array, out if given (the
+    engine passes a workspace buffer) and else a new one, and the result is
     its transpose: F-ordered, one contiguous row per population. Working
-    memory is three uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries
-    (the counter ramp, whose leading view serves a short last chunk, and
-    the hash work and scratch), so at most 24 * max(_CHUNK_DRAWS, k * n)
-    bytes beyond the result, whatever count is.
+    memory is three uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries,
+    none allocated per call: the counter ramp of a full chunk, cached per
+    (n, k) up to k * n = _CHUNK_DRAWS, whose leading view serves short
+    chunks and blocks, and the hash work and scratch of this thread's
+    _Workspace. So at most 24 * max(_CHUNK_DRAWS, k * n) bytes beyond the
+    result, whatever count is.
     """
     k = len(rates)
     _check_counter(rep_start, rep_start + count, k, n)
     key = _stream_key(rng.seed, rng.stream_id)
-    per_chunk = min(count, max(1, _CHUNK_DRAWS // (k * n)))
-    ramp = _ramp(n, k, per_chunk)
-    work = np.empty(per_chunk * k * n, dtype=_U64)
-    scratch = np.empty_like(work)
+    ramp = _chunk_ramp(n, k) if k * n <= _CHUNK_DRAWS else _ramp(n, k, 1)
+    per_chunk = min(count, ramp.shape[2])
+    work = _WORKSPACE.take("work", (per_chunk * k * n,), _U64)
+    scratch = _WORKSPACE.take("scratch", (per_chunk * k * n,), _U64)
     # log(u) / -r is -log(u) / r to the bit: IEEE division is symmetric in sign.
     neg_rates = -rates[:, None]
-    out = np.empty((k, count))
+    if out is None:
+        out = np.empty((k, count))
     for s in range(0, count, per_chunk):
         m = min(per_chunk, count - s)
         size = m * k * n

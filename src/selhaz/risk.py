@@ -36,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind, EstimatorSpec, _check_c, _estimates, validate_improved
-from .model import PopulationSet, RngSpec, _check_counter, _check_n, _is_integral, _sum_blocks
+from .model import (
+    _WORKSPACE,
+    PopulationSet,
+    RngSpec,
+    _check_counter,
+    _check_n,
+    _is_integral,
+    _sum_blocks,
+)
 from .numerics import _WGK, _XGK, DomainError, _central_binomial_term, _psi_gap
 
 # Not called here; benchmarks/tracing.py patches these names on this module.
@@ -90,14 +98,15 @@ class BayesPrior:
             )
 
 
-def _entropy_losses(x: np.ndarray) -> np.ndarray:
+def _entropy_losses(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """x - ln x - 1 in place, x an array of estimates over the true rate.
 
-    The one definition of the loss. Mathematically >= 0, and with numpy's
+    ln x goes to tmp, a scratch array of x's shape, or to a new one. The
+    one definition of the loss. Mathematically >= 0, and with numpy's
     log no rounding made it negative at the 4e5 doubles within 2e5 ulp of
     x = 1 or at 1e7 uniform points in [0.999, 1.001].
     """
-    tmp = np.log(x)
+    tmp = np.log(x, out=tmp)
     x -= tmp
     x -= 1.0
     return x
@@ -113,15 +122,18 @@ def entropy_loss(d: float, sigma_selected: float) -> float:
     return float(_entropy_losses(np.array([d / sigma_selected]))[0])
 
 
-def _losses_for_sums(specs, pop: PopulationSet, sums: np.ndarray) -> np.ndarray:
+def _losses_for_sums(
+    specs, pop: PopulationSet, sums: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Entropy losses of every spec on the same sums, shape (len(specs), rows).
 
     The estimates of _estimates over the selected rates, scored by
-    _entropy_losses.
+    _entropy_losses in out if given, else in a new array. The logs go to
+    this thread's workspace.
     """
-    estimates, jj = _estimates(specs, pop.n, sums)
+    estimates, jj = _estimates(specs, pop.n, sums, out)
     estimates /= np.asarray(pop.rates)[jj]
-    return _entropy_losses(estimates)
+    return _entropy_losses(estimates, _WORKSPACE.take("logs", estimates.shape))
 
 
 def _blocks(replications: int) -> list[tuple[int, int]]:
@@ -132,28 +144,41 @@ def _blocks(replications: int) -> list[tuple[int, int]]:
 # benchmarks/harness.py calls it at 1 and 2 workers, so it keeps a workers
 # parameter, which it ignores: the blocks always run serially.
 def _assemble(block_fn, replications: int, workers: int) -> np.ndarray:
-    """Run block_fn over the fixed blocks in order and concatenate them.
+    """Run block_fn over the fixed blocks in order and join them in a new array.
 
     Blocks join along the last axis, so a block_fn that returns one row per
-    estimator yields one C-contiguous row of losses per estimator.
+    estimator yields one C-contiguous row of losses per estimator. Each
+    block is copied in before the next runs, so block_fn may return a
+    buffer that it reuses.
     """
-    return np.concatenate([block_fn(s, c) for s, c in _blocks(replications)], axis=-1)
+    out = None
+    for s, c in _blocks(replications):
+        losses = block_fn(s, c)
+        if out is None:
+            out = np.empty((*losses.shape[:-1], replications))
+        out[..., s : s + c] = losses
+    return out
 
 
-def _block_loop(n, rates, replications, rng, score) -> np.ndarray:
+def _block_loop(n, rates, replications, rng, rows, score) -> np.ndarray:
     """Check the replication count once, draw each block's sums once, and
-    assemble score(sums) over the blocks in block order.
+    assemble score(sums, out) over the blocks in block order.
 
+    The sums and out, a (rows, count) array for score's losses, are
+    buffers of this thread's workspace, reused by every block and call;
+    _assemble copies each block's losses out before the next block runs.
     A count whose draw counters overflow is rejected before the block list
     is built: at 2**62 replications that list alone would not fit in memory.
     """
     if not _is_integral(replications) or replications < 1:
         raise DomainError(f"replications must be a positive integer, got {replications}")
     rates = np.asarray(rates, dtype=np.float64)
-    _check_counter(0, int(replications), len(rates), n)
+    k = len(rates)
+    _check_counter(0, int(replications), k, n)
 
     def block(rep_start: int, count: int) -> np.ndarray:
-        return score(_sum_blocks(n, rates, rng, rep_start, count))
+        sums = _sum_blocks(n, rates, rng, rep_start, count, _WORKSPACE.take("sums", (k, count)))
+        return score(sums, _WORKSPACE.take("estimates", (rows, count)))
 
     # Overflow ends in an inf or NaN mean, which _estimate_from_losses reports.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -177,12 +202,12 @@ def mc_risks(
     if not specs:
         raise DomainError("mc_risks needs at least one estimator spec")
 
-    def score(sums: np.ndarray) -> np.ndarray:
-        return _losses_for_sums(specs, pop, sums)
+    def score(sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _losses_for_sums(specs, pop, sums, out)
 
     for spec in specs:
         validate_improved(spec, pop.n, pop.k)
-    losses = _block_loop(pop.n, pop.rates, replications, rng, score)
+    losses = _block_loop(pop.n, pop.rates, replications, rng, len(specs), score)
     return _estimate_from_losses(losses, rng.seed, [spec.label() for spec in specs])
 
 
@@ -215,13 +240,13 @@ def mc_dominance(
     """
     # Each block reduces to loss_a - loss_b at once; a (2, reps) loss
     # matrix would raise peak memory on long runs.
-    def score(sums: np.ndarray) -> np.ndarray:
-        loss_a, loss_b = _losses_for_sums((spec_a, spec_b), pop, sums)
-        return loss_a - loss_b
+    def score(sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+        loss_a, loss_b = _losses_for_sums((spec_a, spec_b), pop, sums, out)
+        return np.subtract(loss_a, loss_b, out=loss_a)
 
     validate_improved(spec_a, pop.n, pop.k)
     validate_improved(spec_b, pop.n, pop.k)
-    diffs = _block_loop(pop.n, pop.rates, replications, rng, score)
+    diffs = _block_loop(pop.n, pop.rates, replications, rng, 2, score)
     label = f"{spec_a.label()} - {spec_b.label()}"
     (est,) = _estimate_from_losses(diffs[None], rng.seed, [label])
     return PairedComparison(
@@ -243,16 +268,19 @@ def mc_risk_component(
         raise DomainError(f"rate must be positive and finite, got {rate}")
     _check_c(c)
 
-    def score(sums: np.ndarray) -> np.ndarray:
-        return _entropy_losses((c / sums[:, 0]) / rate)
+    def score(sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+        x = np.divide(c, sums[:, 0], out=out[0])
+        x /= rate
+        return _entropy_losses(x, _WORKSPACE.take("logs", x.shape))
 
-    losses = _block_loop(int(n), (rate,), replications, rng, score)
+    losses = _block_loop(int(n), (rate,), replications, rng, 1, score)
     return _estimate_from_losses(losses[None], rng.seed, [f"c{c:g}"])[0]
 
 
 def _estimate_from_losses(losses: np.ndarray, seed: int, labels) -> tuple[RiskEstimate, ...]:
     """Mean and standard error of each row of a (rows, reps) loss array.
 
+    losses is overwritten: the squared deviations are formed in place.
     labels names the rows in errors. Every row is reduced in one pass with
     the operations of np.mean and np.std(ddof=1) on that row alone (a
     pairwise sum over the row, then the sum of squared deviations from
@@ -268,9 +296,9 @@ def _estimate_from_losses(losses: np.ndarray, seed: int, labels) -> tuple[RiskEs
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(losses, axis=1)
         means /= n_reps
-        dev = losses - means[:, None]
-        np.multiply(dev, dev, out=dev)
-        ses = np.add.reduce(dev, axis=1)
+        losses -= means[:, None]
+        np.multiply(losses, losses, out=losses)
+        ses = np.add.reduce(losses, axis=1)
         # One replication: its deviation is 0, so the divisor 1 gives SE 0.
         ses /= max(n_reps - 1, 1)
         np.sqrt(ses, out=ses)
@@ -313,6 +341,12 @@ def _beta_reach(n: int, depth: float) -> float:
     return 0.5 * math.exp(s) / (1.0 + math.sqrt(-math.expm1(s)))
 
 
+def _check_exact_n(n: int) -> None:
+    """Past 2**53 the exact engine loses leading digits; see _exact_risks_k2."""
+    if n > 2**53:
+        raise DomainError(f"the exact k = 2 risk needs n <= 2**53, got n = {n}")
+
+
 def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
     """Exact risk of every spec at two populations.
 
@@ -333,8 +367,7 @@ def _exact_risks_k2(specs, rates, n: int) -> np.ndarray:
     float range, such as that of c/Y_J at c = 1e308, is a DomainError that
     names the spec.
     """
-    if n > 2**53:
-        raise DomainError(f"the exact k = 2 risk needs n <= 2**53, got n = {n}")
+    _check_exact_n(n)
     q = max(rates) / min(rates)
     if not (q < math.inf):
         raise DomainError(f"rate ratio q must be finite and >= 1, got {q}")

@@ -384,6 +384,16 @@ class TestExact:
         assert code == 0 and err == ""
         assert "exact risk = 5.000041667e-06" in out
 
+    def test_n_beyond_the_exact_engine_names_n(self, capsys):
+        # Rejected before any row runs, so no scales prefix and no draws.
+        code, out, err = run_cli(
+            capsys, "exact", "--c", "4", "--n", str(2**53 + 2), "--scales", "1,2", "--reps", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: n: the exact k = 2 risk needs n <= 2**53, got n = 9007199254740994\n"
+        )
+
 class TestBuildEstimator:
     def test_named_case_insensitive(self):
         assert build_estimator("ml", 5, 2, None, None).label() == "ML"

@@ -22,6 +22,7 @@ from selhaz.model import (
     _CHUNK_DRAWS,
     _GOLDEN,
     _check_counter,
+    _chunk_ramp,
     _mix64,
     _pairwise_sum,
     _ramp,
@@ -56,10 +57,15 @@ class TestPopulationSet:
         with pytest.raises(DomainError, match=r"sample size n must be below 2\*\*1024"):
             PopulationSet(n=10**400, rates=(1.0, 1.0))
 
-    @pytest.mark.parametrize("bad_rate", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "bad_rate", [0.0, -1.0, float("inf"), float("nan"), float("-inf")]
+    )
     def test_rejects_bad_rates(self, bad_rate):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^every rate must be finite and positive, got"):
             PopulationSet(n=5, rates=(1.0, bad_rate))
+
+    def test_accepts_the_smallest_subnormal_rate(self):
+        assert PopulationSet(n=5, rates=(1.0, 5e-324)).rates == (1.0, 5e-324)
 
 
 class TestRngSpec:
@@ -390,6 +396,29 @@ class TestSamplerMemory:
                 _sum_blocks(4, rates, RNG, 2**61 - 4096, 4097)
 
         assert self._peak(call) < 64 * 1024
+
+
+class TestSamplerReuse:
+    """The full-chunk ramp is built once per (n, k) and cannot be written, and
+    a result made without out shares no memory with a reused buffer."""
+
+    def test_cached_read_only_and_equal_to_a_fresh_ramp(self):
+        ramp = _chunk_ramp(5, 3)
+        assert _chunk_ramp(5, 3) is ramp
+        assert not ramp.flags.writeable
+        assert ramp.shape == (5, 3, _CHUNK_DRAWS // 15)
+        np.testing.assert_array_equal(ramp, _ramp(5, 3, _CHUNK_DRAWS // 15))
+        np.testing.assert_array_equal(ramp[:, :, :7], _ramp(5, 3, 7))
+
+    def test_results_without_out_are_new_arrays(self):
+        rates = np.asarray(POP.rates)
+        first = _sum_blocks(POP.n, rates, RNG, 0, 300)
+        kept = first.copy()
+        second = _sum_blocks(POP.n, rates, RNG, 300, 300)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        for buf in selhaz.model._WORKSPACE.buffers.values():
+            assert not np.shares_memory(first, buf)
 
 
 class TestUniformConversion:

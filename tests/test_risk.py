@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -711,6 +712,81 @@ class TestMcRisks:
             mc_risks((n2(5),), POP, 0, RNG)
 
 
+class TestWorkspace:
+    """Block buffers are reused per thread, and no engine result shares them."""
+
+    K5 = PopulationSet(n=3, rates=(1.0, 2.0, 1.25, 3.0, 0.5))
+    K5_SPECS = (n2_improved(3, 5, h_count=3), n2(3))
+    K2_SPECS = (n1(5), n2(5), n2_improved(5, 2), ml(5), ml_improved(5, 2))
+
+    def test_two_threads_give_the_serial_bits(self):
+        reps = 5 * 4096 + 7
+        jobs = [
+            lambda: mc_risks(self.K2_SPECS, POP, reps, RNG),
+            lambda: mc_dominance(*self.K5_SPECS, self.K5, reps, RNG),
+        ]
+        serial = [job() for job in jobs]
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def run(i):
+            barrier.wait()
+            got[i] = [jobs[i]() for _ in range(3)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [[serial[0]] * 3, [serial[1]] * 3]
+
+    def test_assemble_returns_a_new_array_each_call(self):
+        buf = np.empty((2, 4096))
+
+        def block(start, count):
+            view = buf[:, :count]
+            view[0] = np.arange(start, start + count)
+            view[1] = -view[0]
+            return view
+
+        first = selhaz.risk._assemble(block, 9000, 1)
+        second = selhaz.risk._assemble(block, 9000, 2)
+        assert first is not second and not np.shares_memory(first, buf)
+        np.testing.assert_array_equal(first, [np.arange(9000), -np.arange(9000)])
+        np.testing.assert_array_equal(first, second)
+
+    def test_losses_without_out_are_new_arrays(self):
+        sums = _sum_blocks(POP.n, np.asarray(POP.rates), RNG, 0, 512)
+        first = _losses_for_sums(self.K2_SPECS, POP, sums)
+        second = _losses_for_sums(self.K2_SPECS, POP, sums)
+        assert not np.shares_memory(first, second)
+        for buf in selhaz.model._WORKSPACE.buffers.values():
+            assert not np.shares_memory(first, buf)
+
+    @staticmethod
+    def _steady_peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Beyond the loss array, a warm call allocates only per-row scratch.
+    BUDGET = 512 * 1024
+
+    def test_steady_dominance_memory(self):
+        reps = 100_000
+        peak = self._steady_peak(lambda: mc_dominance(*self.K5_SPECS, self.K5, reps, RNG))
+        assert peak - 8 * reps < self.BUDGET
+
+    def test_steady_risks_memory(self):
+        reps = 50_000
+        peak = self._steady_peak(lambda: mc_risks(self.K2_SPECS, POP, reps, RNG))
+        assert peak - 8 * len(self.K2_SPECS) * reps < self.BUDGET
+
+
 class TestLossStatistics:
     """_estimate_from_losses reduces every row of a (rows, reps) array at
     once, with the bits of numpy's mean and std(ddof=1) on each row."""
@@ -720,7 +796,8 @@ class TestLossStatistics:
         # Magnitudes over eight decades, so the order of additions shows.
         gen = np.random.default_rng(reps)
         losses = gen.exponential(size=(5, reps)) * 10.0 ** gen.integers(-4, 5, (5, reps))
-        got = _estimate_from_losses(losses, 9, list("abcde"))
+        # _estimate_from_losses overwrites its input; the rows are compared below.
+        got = _estimate_from_losses(losses.copy(), 9, list("abcde"))
         assert len(got) == 5
         for row, est in zip(losses, got):
             assert est.mean == float(row.mean())
