@@ -35,7 +35,7 @@ from .estimators import (
     n2_improved,
     validate_improved,
 )
-from .model import PopulationSet, RngSpec, _check_counter
+from .model import RNG_LAYOUT, PopulationSet, RngSpec, _check_counter, _check_draws
 from .numerics import DomainError
 from .risk import (
     _check_exact_n,
@@ -299,8 +299,13 @@ def _labelled(cfg: ExperimentConfig) -> list[EstimatorSpec]:
 
 def _run(cfg: ExperimentConfig, engine, *specs):
     """Yield (scales, engine(*specs, populations, reps, stream)) per grid row;
-    row i draws from stream i. A DomainError the engine raises, such as a
+    row i draws from stream i. A replication too large for the sampler is an
+    n: error before any row runs. A DomainError the engine raises, such as a
     risk beyond the float range, becomes a scales: error naming the row."""
+    try:
+        _check_draws(cfg.n, cfg.k)
+    except DomainError as exc:
+        raise ConfigError(f"n: {exc}") from exc
     grid = cfg.scales_grid
     if grid is None:
         if cfg.k != 2:
@@ -340,8 +345,8 @@ def _table(cfg: ExperimentConfig, command: str, tokens, header, rows, verdict=No
         if verdict:
             lines.append(f"# {verdict}")
     meta = dict(
-        n=cfg.n, k=cfg.k, replications=cfg.replications, seed=cfg.seed,
-        workers=cfg.workers, estimators=list(tokens),
+        rng_layout=RNG_LAYOUT, n=cfg.n, k=cfg.k, replications=cfg.replications,
+        seed=cfg.seed, workers=cfg.workers, estimators=list(tokens),
     )
     body = {"rows": [dict(zip(header, row)) for row in rows]}
     if verdict:
@@ -479,7 +484,10 @@ def cmd_exact(cfg: ExperimentConfig, c: float) -> str:
                 mc_risk(spec, pop, reps, rng))
 
     ((scales, (q, h_val, exact, est)),) = _run(cfg, engine, spec)
-    meta = dict(n=cfg.n, c=c, scales=list(scales), replications=cfg.replications, seed=cfg.seed)
+    meta = dict(
+        rng_layout=RNG_LAYOUT, n=cfg.n, c=c, scales=list(scales),
+        replications=cfg.replications, seed=cfg.seed,
+    )
     body = dict(
         q=q, h_of_q=h_val, exact_risk=exact, mc_risk=est.mean, mc_std_error=est.std_error
     )

@@ -12,10 +12,12 @@ draws depend only on those labels and never on which replications were
 computed before it. That is what makes Monte Carlo results independent of
 the order in which blocks are drawn, and it is a hard contract: the counter
 layout below must not change. The memory order in which the counters are
-hashed and summed is free, and _sum_blocks lays them out population-major
-so that the sum over the sample is a few whole-chunk vector additions.
-Those additions follow numpy's pairwise summation order (_pairwise_sum),
-so the sums have the bits of a row-wise numpy sum.
+hashed is free, and _sum_blocks lays them out population-major so that each
+sum, the Erlang construction -ln(u_1 ... u_n) / sigma, is a few whole-chunk
+vector products: the draws are multiplied in groups of _GROUP = 16
+observations, with one log per group and one division per sum, so a sum of
+n draws costs n / 16 logs. RNG_LAYOUT names this map from labels to bits;
+identical labels give identical sums on one NumPy build.
 
 Memory is free too, since no uniform depends on which buffer held the one
 before it. The counter ramp of a full chunk is built once per (n, k) and
@@ -48,6 +50,23 @@ _CHUNK_DRAWS = 16384
 
 # A workspace buffer larger than this is handed out but not kept.
 _KEEP_BYTES = 1 << 20
+
+# Observation rows multiplied together before one log; _sum_blocks says why 16.
+_GROUP = 16
+
+# One replication's k * n draws are hashed in one chunk, in three uint64
+# buffers, so a replication may have at most this many draws: 384 MiB of
+# sampler memory.
+MAX_DRAWS = 2**24
+
+# The bits of 1.0: OR-ing 52 hash bits into them gives 1 + t * 2**-52.
+_ONE_BITS = _U64(0x3FF0000000000000)
+
+# Version of the map from (seed, stream_id, replication, population,
+# observation) to bits of a sum. 1: 53-bit uniforms (m + 0.5) * 2**-53 and
+# each sum a pairwise sum of logs. 2: the 52-bit uniforms of _uniforms and
+# each sum one log per group of _GROUP observations.
+RNG_LAYOUT = 2
 
 
 class _Workspace(threading.local):
@@ -119,19 +138,18 @@ def _uniforms(
     key + first * _GOLDEN gives every input. work and scratch are
     contiguous uint64 buffers of ramp's shape; the result is scratch
     viewed as float64.
-    Top 53 bits m, as (m + 0.5) * 2**-53: values lie in (0, 1], so log(u)
-    is always finite. Past m = 2**52 the half rounds to even, and the top
-    value m = 2**53 - 1 gives exactly 1.0, a zero exponential draw.
+    The top 52 hash bits t go into the mantissa of 1.0, giving 1 + t * 2**-52,
+    and subtracting 1 - 2**-53 leaves u = (t + 0.5) * 2**-52 exactly
+    (Sterbenz: both terms lie within a factor of two of each other). So
+    every value is centred in its cell, lies in [2**-53, 1 - 2**-53] and is
+    never 0 or 1, and the conversion needs no int-to-float cast.
     """
     np.add(ramp, _U64((int(key) + first * int(_GOLDEN)) % 2**64), out=work)
     _mix64(work, scratch)
-    work >>= _U64(11)
+    np.right_shift(work, _U64(12), out=scratch)
+    scratch |= _ONE_BITS
     u = scratch.view(np.float64)
-    # Exact: every value is below 2**53, so the int64 view holds the same
-    # value, and numpy converts int64 to float64 faster than uint64.
-    np.copyto(u, work.view(np.int64), casting="unsafe")
-    u += 0.5
-    u *= 2.0**-53
+    u -= 1.0 - 2.0**-53
     return u
 
 
@@ -269,6 +287,16 @@ def _check_counter(rep_start: int, rep_end: int, k: int, n: int) -> None:
         )
 
 
+def _check_draws(n: int, k: int) -> None:
+    """Reject a replication of more than MAX_DRAWS draws, k * n, before any
+    buffer is sized for it; like _check_counter, pure arithmetic."""
+    if k * n > MAX_DRAWS:
+        raise DomainError(
+            f"one replication draws k * n = {k} * {n} uniforms, more than the "
+            f"sampler's 2**{MAX_DRAWS.bit_length() - 1}"
+        )
+
+
 def _sum_blocks(
     n: int,
     rates: np.ndarray,
@@ -283,31 +311,41 @@ def _sum_blocks(
     Frozen; see the module docstring. The counters of the block run
     consecutively from rep_start * k * n. A range whose last counter would
     not fit in 64 bits is rejected: wrapping would silently repeat another
-    replication's draws.
+    replication's draws. So is a replication of more than MAX_DRAWS draws.
 
     Every uniform is a pure function of its counter, so the block is drawn
     in chunks of whole replications, about _CHUNK_DRAWS draws each. A chunk
     of m replications is hashed in (observation, population, replication)
-    memory order, so each observation j is one row of k * m draws and the
-    sum over the sample is n - 1 additions of whole rows, in numpy's
-    pairwise order. The sums go into a (k, count) array, out if given (the
-    engine passes a workspace buffer) and else a new one, and the result is
-    its transpose: F-ordered, one contiguous row per population. Working
-    memory is three uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries,
-    none allocated per call: the counter ramp of a full chunk, cached per
-    (n, k) up to k * n = _CHUNK_DRAWS, whose leading view serves short
-    chunks and blocks, and the hash work and scratch of this thread's
-    _Workspace. So at most 24 * max(_CHUNK_DRAWS, k * n) bytes beyond the
-    result, whatever count is.
+    memory order, so each observation j is one row of k * m uniforms. Each
+    sum is the Erlang construction -ln(u_1 ... u_n) / rate (Devroye,
+    Non-Uniform Random Variate Generation, 1986): the rows are
+    multiplied in place, in order, in groups of _GROUP (rows 0-15, 16-31,
+    ...; the last group holds what is left), one log is taken per group
+    product, the group logs are added in group order and the total is
+    divided by -rate once: n / 16 logs per sum, where a log per draw would
+    take n. Why 16: every uniform is at least 2**-53, so a product of 16
+    stays at or above 2**-848, well inside the normal range, while one of
+    32 could reach 2**-1696 and underflow to 0.
+
+    The sums go into a (k, count) array, out if given (the engine passes a
+    workspace buffer) and else a new one, and the result is its transpose:
+    F-ordered, one contiguous row per population. Working memory is three
+    uint64 buffers of up to max(_CHUNK_DRAWS, k * n) entries, none
+    allocated per call: the counter ramp of a full chunk, cached per (n, k)
+    up to k * n = _CHUNK_DRAWS, whose leading view serves short chunks and
+    blocks, and the hash work and scratch of this thread's _Workspace. So
+    at most 24 * max(_CHUNK_DRAWS, k * n) bytes beyond the result, whatever
+    count is.
     """
     k = len(rates)
     _check_counter(rep_start, rep_start + count, k, n)
+    _check_draws(n, k)
     key = _stream_key(rng.seed, rng.stream_id)
     ramp = _chunk_ramp(n, k) if k * n <= _CHUNK_DRAWS else _ramp(n, k, 1)
     per_chunk = min(count, ramp.shape[2])
     work = _WORKSPACE.take("work", (per_chunk * k * n,), _U64)
     scratch = _WORKSPACE.take("scratch", (per_chunk * k * n,), _U64)
-    # log(u) / -r is -log(u) / r to the bit: IEEE division is symmetric in sign.
+    # log(P) / -r is -log(P) / r to the bit: IEEE division is symmetric in sign.
     neg_rates = -rates[:, None]
     if out is None:
         out = np.empty((k, count))
@@ -321,11 +359,16 @@ def _sum_blocks(
             work[:size].reshape(n, k, m),
             scratch[:size].reshape(n, k, m),
         )
-        # Exponential draws summed over the sample: the exact gamma(n, rate)
-        # construction for integer n, no rejection step.
-        np.log(u, out=u)
-        u /= neg_rates
-        _pairwise_sum(u, out=out[:, s : s + m])
+        logs = out[:, s : s + m]
+        for first in range(0, n, _GROUP):
+            product = u[first]
+            for row in u[first + 1 : first + _GROUP]:
+                product *= row
+            if first == 0:
+                np.log(product, out=logs)
+            else:
+                logs += np.log(product, out=product)
+        logs /= neg_rates
     return out.T
 
 
@@ -333,7 +376,9 @@ def draw_sums(pop: PopulationSet, rng: RngSpec, replication: int) -> tuple[float
     """The k sufficient sums for one labelled replication.
 
     Pure in (seed, stream_id, replication): identical labels give
-    identical sums on every platform.
+    identical sums on one NumPy build. The sums are -ln of grouped
+    products of uniforms (see _sum_blocks), so their last bits follow that
+    build's log.
     """
     if not _is_integral(replication) or replication < 0:
         raise DomainError(f"replication must be a nonnegative integer, got {replication}")

@@ -20,6 +20,7 @@ from selhaz.cli import (
     serialize_config,
 )
 from selhaz.cli import _COMMANDS, _build_parser, config_from_args
+from selhaz.model import RNG_LAYOUT
 
 
 def run_cli(capsys, *argv):
@@ -587,7 +588,7 @@ GOLDEN = {
             "exact", "--c", "5", "--n", "8", "--scales", "0.3,0.2", "--reps", "500",
             "--seed", "9", "--format", "json",
         ),
-        "a2816f0cb7d5f5560c7684b1202b8a95a93760fbed1aea43a948ae2df1f1575a",
+        "0d222c2b92c9aa107b5f603dcf8d12e4f8d0d9c39b00e9c3cdf03b8f45aa9faf",
     ),
     "risk-table-markdown": (
         ("risk-table", "--format", "markdown"),
@@ -595,7 +596,7 @@ GOLDEN = {
     ),
     "risk-table-json": (
         ("risk-table", "--format", "json"),
-        "c5d272e9517bf81a3ffecac1994d2a01587cadbb21ed183d23e3c1c865c3daa7",
+        "8d15f35f935ae3f2a9c429342368526785f16e9fe0a789fc1fbc4d614ed859ec",
     ),
     "dominance-markdown": (
         ("dominance", "N2", "N1", "--reps", "300", "--format", "markdown"),
@@ -603,7 +604,7 @@ GOLDEN = {
     ),
     "dominance-json": (
         ("dominance", "N2", "N1", "--reps", "300", "--format", "json"),
-        "c8bba980ef0d9eb722cd830580270f19f7be6d252a343dcfe499726f2ec335bb",
+        "048ec67fac579abbf2afec2ec87cce203256238acc9b6a34dc72f42e63dd6ad0",
     ),
 }
 
@@ -789,3 +790,36 @@ class TestGridRunnerAndReport:
         ExperimentConfig(
             n=4, k=2, scales_grid=None, estimators=("N2",), replications=2**61, seed=1
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("risk-table", "--reps", "1"),
+            ("dominance", "N2", "N1", "--reps", "2"),
+            ("plot-data", "--reps", "1"),
+            ("exact", "--c", "4", "--reps", "1"),
+        ],
+        ids=["risk-table", "dominance", "plot-data", "exact"],
+    )
+    def test_replication_too_large_for_the_sampler_names_n(self, capsys, argv):
+        # k * n = 2**54 draws per replication: one error line before any
+        # row runs, where a 64 PiB allocation used to end in a traceback.
+        code, out, err = run_cli(capsys, *argv, "--n", str(2**53), "--scales", "1,2")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: n: one replication draws k * n = 2 * 9007199254740992 uniforms, "
+            "more than the sampler's 2**24\n"
+        )
+
+    def test_bounds_takes_an_n_the_sampler_cannot(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", str(2**23 + 1))
+        assert code == 0 and err == ""
+        assert "admissible c interval: [8388608, " in out
+
+    @pytest.mark.parametrize("command", ["risk-table", "dominance", "exact"])
+    def test_json_meta_opens_with_the_rng_layout(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, *self.RUNS[command], "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert list(meta)[:3] == ["command", "version", "rng_layout"]
+        assert meta["rng_layout"] == RNG_LAYOUT == 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 import selhaz.model
 from selhaz.estimators import EstimatorKind, EstimatorSpec, _estimates, estimate, n2
 from selhaz.model import (
+    MAX_DRAWS,
     PopulationSet,
     RngSpec,
     _CHUNK_DRAWS,
     _GOLDEN,
     _check_counter,
+    _check_draws,
     _chunk_ramp,
     _mix64,
     _pairwise_sum,
@@ -33,7 +36,7 @@ from selhaz.model import (
 )
 from selhaz.numerics import DomainError
 from selhaz.risk import _losses_for_sums, entropy_loss
-from conftest import erlang2_cdf_oracle
+from conftest import erlang_cdf_oracle
 
 POP = PopulationSet(n=5, rates=(1.0, 2.0))
 RNG = RngSpec(seed=1, stream_id=0)
@@ -138,18 +141,21 @@ class TestDrawSums:
         assert abs(means.mean() - 0.5) <= 4.0 * se
 
     def test_kolmogorov_smirnov_against_gamma_cdf(self):
-        # Empirical CDF of Y_1 for (sigma=1, n=2) against the Erlang closed
-        # form; 1% critical value for the KS statistic is 1.628/sqrt(N).
+        # Empirical CDF of Y_1 for sigma = 1 against the Erlang closed form,
+        # at n on both sides of the sampler's 16-row product groups (40 is
+        # two full groups and a partial one); the 1% critical value of the
+        # KS statistic is 1.628/sqrt(N).
         reps = 10_000
-        sums = _sum_blocks(2, np.asarray([1.0, 1.0]), RngSpec(seed=4), 0, reps)
-        y = np.sort(sums[:, 0])
-        theo = np.asarray([erlang2_cdf_oracle(v) for v in y])
         empirical_hi = np.arange(1, reps + 1) / reps
         empirical_lo = np.arange(0, reps) / reps
-        ks = max(
-            np.max(np.abs(empirical_hi - theo)), np.max(np.abs(theo - empirical_lo))
-        )
-        assert ks < 1.628 / math.sqrt(reps)
+        for n in (2, 3, 17, 40):
+            sums = _sum_blocks(n, np.asarray([1.0, 1.0]), RngSpec(seed=4), 0, reps)
+            y = np.sort(sums[:, 0])
+            theo = np.asarray([erlang_cdf_oracle(v, n) for v in y])
+            ks = max(
+                np.max(np.abs(empirical_hi - theo)), np.max(np.abs(theo - empirical_lo))
+            )
+            assert ks < 1.628 / math.sqrt(reps), n
 
     def test_equal_rates_select_uniformly(self):
         reps = 100_000
@@ -397,6 +403,22 @@ class TestSamplerMemory:
 
         assert self._peak(call) < 64 * 1024
 
+    def test_too_many_draws_rejected_before_allocating(self):
+        # k * n = MAX_DRAWS + 2: the three chunk buffers alone would take
+        # over 384 MiB.
+        rates = np.asarray([1.0, 2.0])
+
+        def call():
+            with pytest.raises(DomainError, match=r"k \* n = 2 \* 8388609 uniforms"):
+                _sum_blocks(MAX_DRAWS // 2 + 1, rates, RNG, 0, 1)
+
+        assert self._peak(call) < 64 * 1024
+
+    def test_largest_replication_is_accepted(self):
+        _check_draws(MAX_DRAWS // 4, 4)
+        with pytest.raises(DomainError):
+            _check_draws(MAX_DRAWS // 4 + 1, 4)
+
 
 class TestSamplerReuse:
     """The full-chunk ramp is built once per (n, k) and cannot be written, and
@@ -421,43 +443,89 @@ class TestSamplerReuse:
             assert not np.shares_memory(first, buf)
 
 
+def _hash_py(key: int, counter: int) -> int:
+    """splitmix64 of the counter's hash input, key + (counter + 1) * golden
+    mod 2**64, in Python ints: no numpy wrap-around or shift semantics."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def _uniform_py(key: int, counter: int) -> float:
+    """The counter's uniform (t + 1/2) * 2**-52 from the top 52 hash bits t;
+    (2t + 1) * 2**-53 has at most 53 significant bits, so the float is exact."""
+    return (2 * (_hash_py(key, counter) >> 12) + 1) * 2.0**-53
+
+
 class TestUniformConversion:
-    """_uniforms converts the top 53 hash bits through an int64 view; every
-    value is below 2**53, so the result has the bits of the unsigned form."""
+    """_uniforms puts the top 52 hash bits t into the mantissa of 1.0 and
+    subtracts 1 - 2**-53, which leaves u = (t + 1/2) * 2**-52 exactly:
+    centred in its cell, never 0.0 and never 1.0."""
 
-    @staticmethod
-    def _unsigned(bits: np.ndarray) -> np.ndarray:
-        u = bits.astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        return u
-
-    def test_edge_values_match_unsigned_conversion(self, monkeypatch):
-        # With the hash replaced by the identity, a zero key and counter,
-        # the ramp itself is the hash output, so each m << 11 comes out as m.
-        m = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
+    def test_edge_values_are_centred_exactly(self, monkeypatch):
+        # With the hash replaced by the identity and a zero key and counter,
+        # the ramp itself is the hash output; the low 12 bits, all ones
+        # here, must not show.
+        t = [0, 1, 2**51, 2**52 - 1]
         monkeypatch.setattr(selhaz.model, "_mix64", lambda z, tmp: z)
-        ramp = m << np.uint64(11)
+        ramp = (np.array(t, dtype=np.uint64) << np.uint64(12)) | np.uint64(0xFFF)
         work, scratch = np.empty_like(ramp), np.empty_like(ramp)
         u = _uniforms(np.uint64(0), 0, ramp, work, scratch)
-        assert u.tobytes() == self._unsigned(m).tobytes()
-        # (2**53 - 0.5) rounds to even, so the top value is exactly 1.0.
-        assert u.min() > 0.0 and u[-1] == u.max() == 1.0
+        assert [Fraction(float(v)) for v in u] == [(x + Fraction(1, 2)) / 2**52 for x in t]
+        assert u[0] == 2.0**-53 and u[-1] == 1.0 - 2.0**-53
 
-    def test_hashed_draws_match_unsigned_conversion(self):
-        ramp = _ramp(5, 3, 1000)
+    def test_hashed_draws_match_python_ints(self):
+        # Entry (j, i, r) of _ramp(n, k, m) is counter offset (r * k + i) * n + j.
+        n, k, m, first = 5, 3, 200, 123 * 15
+        ramp = _ramp(n, k, m)
         work, scratch = np.empty_like(ramp), np.empty_like(ramp)
         key = _stream_key(7, 2)
-        u = _uniforms(key, 123 * 15, ramp, work, scratch).copy()
-        bits = ramp + np.uint64((int(key) + 123 * 15 * int(_GOLDEN)) % 2**64)
-        _mix64(bits, np.empty_like(bits))
-        bits >>= np.uint64(11)
-        assert u.tobytes() == self._unsigned(bits).tobytes()
+        u = _uniforms(key, first, ramp, work, scratch)
+        assert np.all((u > 0.0) & (u < 1.0))
+        expected = [
+            _uniform_py(int(key), first + (r * k + i) * n + j)
+            for j in range(n)
+            for i in range(k)
+            for r in range(m)
+        ]
+        assert u.tobytes() == np.asarray(expected).reshape(n, k, m).tobytes()
+
+
+class TestSumOracle:
+    """_sum_blocks against sums taken term by term in Python: math.fsum of
+    -ln(u) / rate over uniforms recomputed from the counters.
+
+    Bound, in units of r = 2**-53, for a sum S/rate of n terms in G groups of
+    at most 16: each group product carries at most 15 roundings, which shift
+    its log by at most 15 r, so (n - G) r in all; the G logs, G - 1
+    additions and one division are each within 4 ulps of a value of size at
+    most S; the reference's logs and divisions are within 2 ulps each and
+    fsum rounds once. So |got - want| <= (n + (4 G + 4) S) r / rate, and
+    a few ulps of the sum wherever S is not small against n.
+    """
+
+    RATES = (1e-3, 1.0, 1e3)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 33, 257])
+    def test_matches_term_by_term_sums(self, n):
+        k, start, count = len(self.RATES), 5, 4
+        rng = RngSpec(seed=20261022, stream_id=n)
+        got = _sum_blocks(n, np.asarray(self.RATES), rng, start, count)
+        key = int(_stream_key(rng.seed, rng.stream_id))
+        groups = -(-n // 16)
+        for r in range(count):
+            for i, rate in enumerate(self.RATES):
+                base = ((start + r) * k + i) * n
+                s = math.fsum(-math.log(_uniform_py(key, base + j)) for j in range(n))
+                want = math.fsum(-math.log(_uniform_py(key, base + j)) / rate for j in range(n))
+                bound = (n + (4 * groups + 4) * s) * 2.0**-53 / rate
+                assert abs(got[r, i] - want) <= bound, (r, i)
 
 
 class TestPairwiseSum:
     """_pairwise_sum sums over axis 0 in numpy's own reduction order, so the
-    population-major sampler and kernel keep the bits of numpy's row sums."""
+    population-major kernel keeps the bits of numpy's row sums."""
 
     @given(
         st.lists(

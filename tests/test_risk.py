@@ -923,20 +923,22 @@ def _bit_digest(n: int, k: int) -> str:
 class TestBitPins:
     """Last-bit pins of the Monte Carlo engine. The golden CSVs round to six
     decimals; these digests see any drift in the sampler, the loss kernel or
-    block assembly, down to the last bit of a mean or standard error."""
+    block assembly, down to the last bit of a mean or standard error.
+    Taken at RNG layout 2; the ids name (n, k) only, so a retake keeps them."""
 
     @pytest.mark.parametrize(
         "n, k, digest",
         [
-            (2, 2, "1b60f9917002ff85330c788c6900e0f1130e429aa8827a32e3d06383bd5e72b6"),
-            (5, 2, "6077437a2000aac914187bb5847bd38e1895229d2ae0b2a232b233c9e54b0a79"),
-            (5, 5, "9a762cf416d1f37445769d4a11218f1a1bb7a38eb633dead9d9a862f204ad999"),
-            (7, 3, "09caa9e5c520d49a513f7eaad87a24f3a6690f836aab3b31691329885c7fc4c2"),
-            (8, 2, "f2a5b7c108d9bca2a49d293212d85e77c8acab049e30f6f755e72361ef35e92f"),
-            (8, 5, "8ccea060b2731d53959cb0b7da6096fced483d1f92cfa2bb7f74ed8a3d96b53c"),
-            (20, 3, "a792a1c99002dbee03868eadc9ac27aef09ccff7be4a51ab2797f540730fe174"),
-            (60, 5, "cbf288ad103c826c027bd7b36e93161e1424e742b8fa4cbfa11dc1a9260689d8"),
+            (2, 2, "f1fbe9d4d4e681a715790f4127e6ce13b6f93069bda434cb895dca1480d70661"),
+            (5, 2, "ccc5668aba8c440a2711231ea9e3b09857a4ca43628488f18dd6780aeee63744"),
+            (5, 5, "bfb022999a7c904c2ee63b398bfb8cd0934334521b1348573a001835330629ce"),
+            (7, 3, "713b8328e6c46fc01fc83831c7b9acf8e744ddc675b04156b48fbdf90d1d48a9"),
+            (8, 2, "ddcb693e003c50c7f42e044a7adb69b1c6a4b7de9e6e01e50f1b561374a54068"),
+            (8, 5, "d7694103e1c013bfe45692767b30e39bb35fb6498fd48f8fa5f4ad0ea7e58576"),
+            (20, 3, "bc99187886b813df537f68eb108feea57b6b25d6c0e4e23ee0866bb5e548962d"),
+            (60, 5, "8116ca477f34bae3045cef774ef60853849ba7d4e8514b654227ccdb6a52c754"),
         ],
+        ids=["2-2", "5-2", "5-5", "7-3", "8-2", "8-5", "20-3", "60-5"],
     )
     def test_digest(self, n, k, digest):
         assert _bit_digest(n, k) == digest
@@ -945,11 +947,13 @@ class TestBitPins:
 def _branch_digest(n: int, k: int) -> str:
     """sha256 over float.hex of draw_sums and mc_risks at (n, k).
 
-    The sampler sums n terms and the improved specs sum h = k and h = 2
-    logs, so n in {9, 16, 129, 257} and k in {8, 9, 12} reach every branch
-    of numpy's pairwise summation (sequential below 8 terms, eight
-    accumulators up to 128, recursive halving above) and both sides of the
-    k at which the kernel stops ordering columns with a sorting network.
+    The sampler takes one log per group of 16 draws, so n in {9, 16, 129,
+    257} gives one partial group, one full group, and 8 or 16 full groups
+    and a group of one. The improved specs sum h = k and h = 2 logs, so k in
+    {8, 9, 12} reach every branch of numpy's pairwise summation there
+    (sequential below 8 terms, eight accumulators up to 128) and both sides
+    of the k at which the kernel once stopped ordering columns with a
+    sorting network.
     """
     rates = tuple(1.0 + 0.5 * ((5 * i) % k) for i in range(k))
     pop = PopulationSet(n=n, rates=rates)
@@ -967,20 +971,20 @@ def _branch_digest(n: int, k: int) -> str:
 
 class TestBranchPins:
     """Last-bit pins beyond TestBitPins' (n, k): long samples and many
-    populations. Taken before the sampler and the kernel were laid out
-    population-major, and unchanged by it."""
+    populations. Taken at RNG layout 2."""
 
     @pytest.mark.parametrize(
         "n, k, digest",
         [
-            (9, 2, "6d1bc1d1202fec5eb0d9a92c322f9c5a5749532b6c66dd6d1a1027451404337a"),
-            (16, 2, "a781a9b96209de401faaaa67d38bf44377fc2e402d6ec7a9e6cd2442cf575e83"),
-            (129, 2, "9210fa3b6cd3f90f8155cba668dd7178ea3bee7567180ae8083bb8fbc8d2fd4c"),
-            (257, 2, "3e30d71bdb7b9df8065875c1f1459586fef300124c118dd0fbdc47470a0db692"),
-            (5, 8, "27ecffbce468d51917beb6d04ce6377454244c335956754174d5063bcf9f5e08"),
-            (5, 9, "78f2dffcb522d4dd82b59d437ecfa6b9152e87efbf34ccca7a1e1afb45d3447d"),
-            (5, 12, "ce86d6ff38d0b4d8945b7151d6c4615e6188c3c1c77866f1f6ca6bca28d8d7b5"),
+            (9, 2, "fe3c85eb5cd9bfbf9811f4205f4de68451a392ffab087131fb89fe508eb44fbb"),
+            (16, 2, "46de89116a071b1f8f33655f8ce0fc24fc544305ffaa0b7dd449bc350cdc071d"),
+            (129, 2, "66539a0d3f18cfd22883cc9c8cd8e844fa2177a7989819808814af337376c874"),
+            (257, 2, "f9e408087c0914adeac1dec6e6b3eb555c575800718e3445c33289880b5558bb"),
+            (5, 8, "dcda1b461267e7d4a7d732a51636088e77b7c81ea848cd04255e1451a7867388"),
+            (5, 9, "f1fc201426dd4b1d05475e610e0fa8dce142f69605294eec1c769f79ef0213ed"),
+            (5, 12, "67494dbdb847a294d106196cd13028c211d2c2424307f5718ed481f7a715c9ff"),
         ],
+        ids=["9-2", "16-2", "129-2", "257-2", "5-8", "5-9", "5-12"],
     )
     def test_digest(self, n, k, digest):
         assert _branch_digest(n, k) == digest
